@@ -6,11 +6,16 @@
  * and one ILP-bound thread, so runahead, flush and resource-control
  * paths all trigger) twice, and the *full* serialized SimResult JSON
  * must be byte-identical between the runs and byte-identical to the
- * golden files committed under tests/data/golden_mix2/. The goldens
- * were captured from the pre-event-driven broadcast scheduler, so this
- * test is the proof that the event-driven wakeup refactor (see
- * DESIGN.md "Event-driven wakeup") changed the simulator's speed and
- * nothing else.
+ * golden files committed under tests/data/golden_mix2/. The nine
+ * policy goldens were captured from the pre-event-driven broadcast
+ * scheduler, so this test is the proof that the event-driven wakeup
+ * refactor (see DESIGN.md "Event-driven wakeup") changed the
+ * simulator's speed and nothing else.
+ *
+ * Two more inputs at the same windows, FLUSH_mix4.json and
+ * RaT_racache.json (see goldenCases), were captured from the
+ * event-driven scheduler while a test still asserted it byte-identical
+ * to the broadcast reference on exactly these runs.
  *
  * Re-capture (only for an *intentional* semantic change; explain it in
  * the same commit):
@@ -22,6 +27,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,7 +48,7 @@ const std::vector<core::PolicyKind> kAllPolicies = {
     core::PolicyKind::MlpAware,
 };
 
-/** Short windows keep 9 policies x 2 runs affordable in CI. */
+/** Short windows keep two runs of every case affordable in CI. */
 SimConfig
 determinismConfig()
 {
@@ -53,27 +59,51 @@ determinismConfig()
     return cfg;
 }
 
-std::string
-runMix2Json(core::PolicyKind kind)
+/** One pinned run and the capture it must reproduce. */
+struct GoldenCase {
+    std::string file; ///< under tests/data/golden_mix2/
+    std::vector<std::string> programs;
+    core::PolicyKind policy;
+    bool runaheadCache = false;
+};
+
+/**
+ * The nine policies on MIX2, plus two runs they do not reach: FLUSH on
+ * four memory-bound threads (a squash on nearly every detected L2
+ * miss, so every squash must unlink the scheduler's intrusive lists)
+ * and RaT with the runahead cache on (off by default; INV propagates
+ * through registers, store-dependent chains and pseudo-retired stores).
+ */
+std::vector<GoldenCase>
+goldenCases()
 {
-    ExperimentRunner runner(determinismConfig());
-    const Workload w = Workload::fromPrograms({"art", "gzip"});
-    TechniqueSpec tech;
-    tech.label = policy::policyKindName(kind);
-    tech.policy = kind;
-    const SimResult r = runner.runWorkload(w, tech);
-    return report::toJson(r).dump(2) + "\n";
+    std::vector<GoldenCase> cases;
+    for (const core::PolicyKind kind : kAllPolicies) {
+        std::string name = policy::policyKindName(kind);
+        for (char &c : name) {
+            if (c == '+')
+                c = '_';
+        }
+        cases.push_back({name + ".json", {"art", "gzip"}, kind});
+    }
+    cases.push_back({"FLUSH_mix4.json", {"art", "mcf", "swim", "twolf"},
+                     core::PolicyKind::Flush});
+    cases.push_back(
+        {"RaT_racache.json", {"art", "mcf"}, core::PolicyKind::Rat, true});
+    return cases;
 }
 
 std::string
-goldenPath(core::PolicyKind kind, const char *dir)
+runJson(const GoldenCase &golden)
 {
-    std::string name = policy::policyKindName(kind);
-    for (char &c : name) {
-        if (c == '+')
-            c = '_';
-    }
-    return std::string(dir) + "/" + name + ".json";
+    ExperimentRunner runner(determinismConfig());
+    TechniqueSpec tech;
+    tech.label = policy::policyKindName(golden.policy);
+    tech.policy = golden.policy;
+    tech.rat.useRunaheadCache = golden.runaheadCache;
+    const SimResult r =
+        runner.runWorkload(Workload::fromPrograms(golden.programs), tech);
+    return report::toJson(r).dump(2) + "\n";
 }
 
 std::string
@@ -90,12 +120,12 @@ slurp(const std::string &path)
 TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
 {
     const char *capture = std::getenv("RATSIM_CAPTURE_GOLDEN_DIR");
-    for (const core::PolicyKind kind : kAllPolicies) {
-        SCOPED_TRACE(policy::policyKindName(kind));
-        const std::string first = runMix2Json(kind);
+    for (const GoldenCase &golden : goldenCases()) {
+        SCOPED_TRACE(golden.file);
+        const std::string first = runJson(golden);
 
         if (capture) {
-            const std::string path = goldenPath(kind, capture);
+            const std::string path = std::string(capture) + "/" + golden.file;
             std::ofstream out(path, std::ios::binary);
             ASSERT_TRUE(out.is_open()) << "cannot write " << path;
             out << first;
@@ -104,16 +134,13 @@ TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
 
         // Run-to-run determinism: a fresh simulator must reproduce the
         // full result byte-for-byte.
-        const std::string second = runMix2Json(kind);
-        EXPECT_EQ(first, second);
+        EXPECT_EQ(first, runJson(golden));
 
-        // Pre-refactor golden: the committed broadcast-scheduler
-        // capture must match exactly.
         const std::string path =
-            goldenPath(kind, RATSIM_TEST_DATA_DIR "/golden_mix2");
-        const std::string golden = slurp(path);
-        ASSERT_FALSE(golden.empty()) << "missing golden " << path;
-        EXPECT_EQ(first, golden) << "drift against " << path;
+            std::string(RATSIM_TEST_DATA_DIR "/golden_mix2/") + golden.file;
+        const std::string expected = slurp(path);
+        ASSERT_FALSE(expected.empty()) << "missing golden " << path;
+        EXPECT_EQ(first, expected) << "drift against " << path;
     }
 }
 
