@@ -1,18 +1,16 @@
 /**
  * perf_simspeed: wall-clock simulator throughput of the host-side
- * execution modes — the event-driven scheduler vs the broadcast
- * reference (PR 3, DESIGN.md "Event-driven wakeup") and quiescence-aware
- * cycle skipping vs per-cycle ticking (DESIGN.md "Cycle skipping &
- * quiescence invariants").
+ * execution modes — quiescence-aware cycle skipping vs per-cycle
+ * ticking (DESIGN.md "Cycle skipping & quiescence invariants") — and
+ * the event tracer's overhead.
  *
  * Every paper figure is a sweep over techniques x workloads x resource
  * sizes, so simulated-MIPS is the budget that bounds how many scenarios
- * a campaign can explore. Two sweeps:
+ * a campaign can explore. Three sweeps:
  *
- *  1. RaT on the 4-thread MIX workloads across the full 2x2 mode grid
- *     (scheduler mode x skip mode). All four cells must produce
- *     byte-identical serialized results — the bench aborts (and the
- *     bench smoke ctest fails) on any divergence.
+ *  1. RaT on the 4-thread MIX workloads, skip vs ticked. Both cells
+ *     must produce byte-identical serialized results — the bench
+ *     aborts (and the bench smoke ctest fails) on any divergence.
  *  2. The MEM-dominated 2-thread group (Table 2 MEM2) under the
  *     baseline long-latency policies (ICOUNT, STALL, DCRA), skip vs
  *     ticked. These are the workloads whose dead cycles skipping
@@ -57,12 +55,11 @@ struct ModeSample {
 
 ModeSample
 timeOne(const sim::SimConfig &base, const sim::Workload &w,
-        core::PolicyKind policy, bool broadcast, bool skip,
+        core::PolicyKind policy, bool skip,
         const std::string &trace_out = {})
 {
     sim::SimConfig cfg = base;
     cfg.core.policy = policy;
-    cfg.core.broadcastScheduler = broadcast;
     cfg.core.cycleSkipping = skip;
     cfg.traceOut = trace_out;
 
@@ -104,15 +101,15 @@ main()
     setLogLevel(LogLevel::Warn);
 
     bench::banner(
-        "perf_simspeed: scheduler x cycle-skip execution-mode grid",
-        "all four mode cells bit-identical; cycle skipping well above "
+        "perf_simspeed: cycle-skip execution modes",
+        "skip and tick cells bit-identical; cycle skipping well above "
         "1.5x simulated MIPS on MEM-dominated mixes under the baseline "
-        "policies, on top of the event-driven scheduler's gain");
+        "policies");
 
     const sim::SimConfig base = bench::benchConfig();
     bench::BenchReport bench_report("simspeed");
 
-    // ---- sweep 1: RaT on MIX4, full 2x2 (scheduler x skip) grid ----------
+    // ---- sweep 1: RaT on MIX4, skip vs tick ------------------------------
     const auto &mix4 = sim::workloadsOf(sim::WorkloadGroup::MIX4);
     const std::size_t mix4_count =
         cappedCount("RATSIM_SPEED_WORKLOADS", mix4.size());
@@ -122,60 +119,44 @@ main()
                     mix4_count, mix4.size());
     }
 
-    const std::vector<std::string> grid_labels = {
-        "bc+tick", "bc+skip", "ev+tick", "ev+skip", "sched x", "skip x"};
+    const std::vector<std::string> grid_labels = {"ev+tick", "ev+skip",
+                                                  "skip x"};
     std::map<std::string, std::vector<double>> grid_rows;
     std::vector<std::string> grid_order;
 
-    double sum_bcast_sec = 0.0, sum_event_sec = 0.0;
-    double sum_skip_sec = 0.0, sum_prewarm_sec = 0.0;
+    double sum_event_sec = 0.0, sum_skip_sec = 0.0, sum_prewarm_sec = 0.0;
     std::uint64_t sum_committed = 0;
 
     for (std::size_t i = 0; i < mix4_count; ++i) {
         const sim::Workload &w = mix4[i];
-        // Cell order: the seed-most mode first, the fastest mode last.
-        const ModeSample bc_tick =
-            timeOne(base, w, core::PolicyKind::Rat, true, false);
-        const ModeSample bc_skip =
-            timeOne(base, w, core::PolicyKind::Rat, true, true);
         const ModeSample ev_tick =
-            timeOne(base, w, core::PolicyKind::Rat, false, false);
+            timeOne(base, w, core::PolicyKind::Rat, false);
         const ModeSample ev_skip =
-            timeOne(base, w, core::PolicyKind::Rat, false, true);
+            timeOne(base, w, core::PolicyKind::Rat, true);
 
-        // The mode contract: same simulation, only faster. Any
-        // divergence across the four cells aborts the bench (and the
-        // bench smoke ctest).
-        for (const ModeSample *s : {&bc_skip, &ev_tick, &ev_skip}) {
-            if (s->resultJson != bc_tick.resultJson) {
-                fatal("execution modes diverged on workload '%s'",
-                      w.name.c_str());
-            }
+        // The mode contract: same simulation, only faster. A
+        // divergence aborts the bench (and the bench smoke ctest).
+        if (ev_skip.resultJson != ev_tick.resultJson) {
+            fatal("execution modes diverged on workload '%s'",
+                  w.name.c_str());
         }
 
-        const double sched_x =
-            bc_tick.mips > 0.0 ? ev_tick.mips / bc_tick.mips : 0.0;
         const double skip_x =
             ev_tick.mips > 0.0 ? ev_skip.mips / ev_tick.mips : 0.0;
-        grid_rows[w.name] = {bc_tick.mips, bc_skip.mips, ev_tick.mips,
-                             ev_skip.mips, sched_x, skip_x};
+        grid_rows[w.name] = {ev_tick.mips, ev_skip.mips, skip_x};
         grid_order.push_back(w.name);
 
-        sum_bcast_sec += bc_tick.seconds;
         sum_event_sec += ev_tick.seconds;
         sum_skip_sec += ev_skip.seconds;
-        sum_prewarm_sec += bc_tick.prewarmSec + bc_skip.prewarmSec +
-                           ev_tick.prewarmSec + ev_skip.prewarmSec;
+        sum_prewarm_sec += ev_tick.prewarmSec + ev_skip.prewarmSec;
         sum_committed += ev_skip.committed;
     }
 
     bench::printGroupTable(
-        "RaT on MIX4: simulated MIPS by execution mode "
-        "(bc=broadcast, ev=event)",
+        "RaT on MIX4: simulated MIPS by execution mode (ev=event)",
         grid_labels, grid_rows, grid_order);
     bench_report.addGroupTable(
-        "RaT on MIX4: simulated MIPS by execution mode (scheduler x "
-        "cycle-skip grid; sched x = ev+tick/bc+tick, skip x = "
+        "RaT on MIX4: simulated MIPS by execution mode (skip x = "
         "ev+skip/ev+tick)",
         grid_labels, grid_rows, grid_order);
 
@@ -206,10 +187,8 @@ main()
 
         for (std::size_t i = 0; i < mem2_count; ++i) {
             const sim::Workload &w = mem2[i];
-            const ModeSample ticked =
-                timeOne(base, w, policy, false, false);
-            const ModeSample skipped =
-                timeOne(base, w, policy, false, true);
+            const ModeSample ticked = timeOne(base, w, policy, false);
+            const ModeSample skipped = timeOne(base, w, policy, true);
             if (skipped.resultJson != ticked.resultJson) {
                 fatal("cycle skipping diverged on '%s' under %s",
                       w.name.c_str(), core::policyName(policy));
@@ -238,7 +217,7 @@ main()
 
         const std::string title =
             std::string("MEM2 under ") + core::policyName(policy) +
-            ": cycle skipping vs ticking (event scheduler)";
+            ": cycle skipping vs ticking";
         bench::printGroupTable(title.c_str(), skip_labels, rows, order);
         bench_report.addGroupTable(title.c_str(), skip_labels, rows,
                                    order);
@@ -286,9 +265,9 @@ main()
     for (std::size_t i = 0; i < trace_count; ++i) {
         const sim::Workload &w = mix4[i];
         const ModeSample off =
-            timeOne(base, w, core::PolicyKind::Rat, false, true);
-        const ModeSample on = timeOne(base, w, core::PolicyKind::Rat,
-                                      false, true, "/dev/null");
+            timeOne(base, w, core::PolicyKind::Rat, true);
+        const ModeSample on =
+            timeOne(base, w, core::PolicyKind::Rat, true, "/dev/null");
         // Observation only: a traced run must serialize the exact same
         // result as the untraced one.
         if (on.resultJson != off.resultJson)
@@ -335,10 +314,6 @@ main()
                     : 0.0);
 
     // ---- totals ----------------------------------------------------------
-    const double total_mips_bcast =
-        sum_bcast_sec > 0.0
-            ? static_cast<double>(sum_committed) / 1e6 / sum_bcast_sec
-            : 0.0;
     const double total_mips_event =
         sum_event_sec > 0.0
             ? static_cast<double>(sum_committed) / 1e6 / sum_event_sec
@@ -348,27 +323,19 @@ main()
             ? static_cast<double>(sum_committed) / 1e6 / sum_skip_sec
             : 0.0;
 
-    std::printf("MIX4 sweep totals (measured windows): broadcast %.2fs, "
-                "event %.2fs, event+skip %.2fs, untimed prewarm+warmup "
-                "%.2fs\n",
-                sum_bcast_sec, sum_event_sec, sum_skip_sec,
-                sum_prewarm_sec);
-    std::printf("simulated MIPS on MIX4/RaT: broadcast %.3f -> event "
-                "%.3f -> event+skip %.3f\n",
-                total_mips_bcast, total_mips_event, total_mips_skip);
+    std::printf("MIX4 sweep totals (measured windows): event %.2fs, "
+                "event+skip %.2fs, untimed prewarm+warmup %.2fs\n",
+                sum_event_sec, sum_skip_sec, sum_prewarm_sec);
+    std::printf("simulated MIPS on MIX4/RaT: event %.3f -> event+skip "
+                "%.3f\n",
+                total_mips_event, total_mips_skip);
     std::printf("best MEM-dominated skip speedup: %.2fx (%s)\n",
                 best_speedup, best_cell.c_str());
 
-    bench_report.addHeadline("simulated MIPS, MIX4/RaT broadcast+tick",
-                             total_mips_bcast);
     bench_report.addHeadline("simulated MIPS, MIX4/RaT event+tick",
                              total_mips_event);
     bench_report.addHeadline("simulated MIPS, MIX4/RaT event+skip",
                              total_mips_skip);
-    bench_report.addHeadline("speedup (event vs broadcast, MIX4/RaT)",
-                             total_mips_bcast > 0.0
-                                 ? total_mips_event / total_mips_bcast
-                                 : 0.0);
     bench_report.addHeadline("best MEM-dominated skip speedup",
                              best_speedup);
     bench_report.write();

@@ -7,15 +7,17 @@
  *
  * The enumeration is *mode-invariant by construction*: it visits only
  * state that is bit-identical across the host-side implementation grid
- * (cycle-skip on/off x event/broadcast scheduler) at matched window
- * boundaries. That means no host-clock values (a skipped span samples
- * with the clock still at the span start), no physical-register
- * *numbers* (free-list order may legally differ between schedulers —
- * the maps are digested by entry kind and producer readiness instead),
- * no per-cycle integrals (skipTo integrates them span-at-once), and no
- * issue-queue slot indices. Two runs of the same configuration in any
- * mode must therefore produce byte-identical digest streams — and
- * `ratsim verify` bisects the first window where they do not.
+ * (cycle-skip on/off, episode-checkpoint save/restore) at matched
+ * window boundaries. That means no host-clock values (a skipped span
+ * samples with the clock still at the span start), no physical-register
+ * *numbers* (which free register an allocation gets is an
+ * implementation detail, not behaviour; the maps are digested by entry
+ * kind and producer readiness instead, and `ratck2` checkpoints embed
+ * this digest, so the enumeration stays fixed), no per-cycle integrals
+ * (skipTo integrates them span-at-once), and no issue-queue slot
+ * indices. Two runs of the same configuration in any mode must
+ * therefore produce byte-identical digest streams — and `ratsim
+ * verify` bisects the first window where they do not.
  */
 
 #ifndef RAT_CHECK_DIGEST_HH

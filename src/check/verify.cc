@@ -14,7 +14,6 @@ namespace {
 struct LegSpec {
     const char *name;
     bool cycleSkip;
-    bool broadcast;
     Cycle checkpointEvery; ///< save/restore leg only
 };
 
@@ -30,7 +29,6 @@ runLeg(const VerifyOptions &options, runahead::RaVariant variant,
     sim::SimConfig cfg = options.base;
     cfg.core.rat.variant = variant;
     cfg.core.cycleSkipping = leg.cycleSkip;
-    cfg.core.broadcastScheduler = leg.broadcast;
     cfg.digestWindow = digest_window;
     cfg.engineCheckpointEvery = leg.checkpointEvery;
     cfg.mutateAtCycle = mutate_at;
@@ -108,14 +106,12 @@ bisect(const VerifyOptions &options, runahead::RaVariant variant,
 VerifyOutcome
 runVerify(const VerifyOptions &options)
 {
-    // The reference leg is the production default: cycle skipping on,
-    // event-driven scheduler. Every other leg must match it.
-    const LegSpec reference{"skip+event", true, false, 0};
+    // The reference leg is the production default: cycle skipping on.
+    // Every other leg must match it.
+    const LegSpec reference{"skip+event", true, 0};
     const LegSpec grid[] = {
-        {"noskip+event", false, false, 0},
-        {"skip+broadcast", true, true, 0},
-        {"noskip+broadcast", false, true, 0},
-        {"save-restore", true, false, options.checkpointEvery},
+        {"noskip+event", false, 0},
+        {"save-restore", true, options.checkpointEvery},
     };
 
     std::vector<runahead::RaVariant> variants;
@@ -151,7 +147,7 @@ runVerify(const VerifyOptions &options)
         // The fault-injection leg runs only for the first variant: it
         // audits the digest's sensitivity, not the variant grid.
         if (options.mutateAt && variant == variants.front()) {
-            const LegSpec mutated{"mutated", true, false, 0};
+            const LegSpec mutated{"mutated", true, 0};
             inform("verify: variant %s: seeded-mutation leg "
                    "(mutate-at %llu)",
                    vname,

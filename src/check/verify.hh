@@ -1,12 +1,12 @@
 /**
  * @file
  * `ratsim verify`: the self-checking determinism audit. Runs one
- * configuration across the full host-side mode grid — cycle-skip
- * on/off x event/broadcast scheduler, and every runahead variant when
- * the policy is runahead-capable — plus a save/restore leg that
- * round-trips the engine's episode checkpoints every few cycles. All
- * legs must produce byte-identical state-digest streams (see
- * digest.hh for why that is the right equivalence).
+ * configuration across the host-side mode grid — cycle-skip on/off,
+ * for every runahead variant when the policy is runahead-capable —
+ * plus a save/restore leg that round-trips the engine's episode
+ * checkpoints every few cycles. All legs must produce byte-identical
+ * state-digest streams (see digest.hh for why that is the right
+ * equivalence).
  *
  * On divergence (or with a deliberately seeded `--mutate-at` fault)
  * the driver narrows the coarse digest window down to the exact first
@@ -28,8 +28,8 @@ namespace rat::check {
 /** What `runVerify` should execute. */
 struct VerifyOptions {
     /**
-     * Base configuration; its cycleSkipping / broadcastScheduler /
-     * digestWindow members are overridden per leg.
+     * Base configuration; its cycleSkipping / digestWindow members
+     * are overridden per leg.
      */
     sim::SimConfig base;
     /** Programs to co-run (the workload under audit). */

@@ -161,18 +161,6 @@ struct CoreConfig {
     RatConfig rat{};
 
     /**
-     * Run the pre-event-driven broadcast scheduler: full issue-queue
-     * scans on every register/store wakeup and a per-cycle ready-list
-     * rescan, instead of the event-driven waiter lists (DESIGN.md,
-     * "Event-driven wakeup"). Results are bit-identical in both modes;
-     * this reference implementation exists for the perf_simspeed
-     * before/after bench and the scheduler-equivalence tests. Host-side
-     * implementation choice only, so it is deliberately NOT part of the
-     * serialized configuration (it cannot affect results or cache keys).
-     */
-    bool broadcastScheduler = false;
-
-    /**
      * Quiescence-aware cycle skipping: when a tick ends provably idle
      * (no event processed, nothing issuable/renameable/fetchable/
      * committable), `SmtCore::run` fast-forwards the clock to the next
@@ -180,19 +168,18 @@ struct CoreConfig {
      * "Cycle skipping & quiescence invariants"). Bit-identical by
      * construction — skipped cycles are exactly the ticks that would
      * have changed nothing, and per-cycle accumulators are integrated
-     * analytically over the span. Like `broadcastScheduler` this is a
-     * host-side implementation choice: deliberately NOT part of the
-     * serialized configuration (it cannot affect results or cache
-     * keys).
+     * analytically over the span. A host-side implementation choice:
+     * deliberately NOT part of the serialized configuration (it cannot
+     * affect results or cache keys).
      */
     bool cycleSkipping = true;
 
     /**
      * Runtime invariant audits (src/check/): `Off` by default. Like
-     * `broadcastScheduler` and `cycleSkipping` this is a host-side
-     * observation knob — audits either pass (no state change) or abort
-     * the run, so it is deliberately NOT part of the serialized
-     * configuration (it cannot affect results or cache keys).
+     * `cycleSkipping` this is a host-side observation knob — audits
+     * either pass (no state change) or abort the run, so it is
+     * deliberately NOT part of the serialized configuration (it cannot
+     * affect results or cache keys).
      */
     CheckLevel checkLevel = CheckLevel::Off;
     /** Cycles between audits at CheckLevel::Sampled. */

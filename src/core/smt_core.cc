@@ -58,13 +58,10 @@ SmtCore::SmtCore(const CoreConfig &config, mem::MemoryHierarchy &mem,
                 config.fetchQueueEntries +
             64),
       rob_(config.robEntries),
-      iqs_{IssueQueue{"intIQ", config.intIqEntries,
-                      config.broadcastScheduler},
-           IssueQueue{"lsIQ", config.lsIqEntries,
-                      config.broadcastScheduler},
-           IssueQueue{"fpIQ", config.fpIqEntries,
-                      config.broadcastScheduler}},
-      lsq_(config.lsqEntries, config.broadcastScheduler),
+      iqs_{IssueQueue{"intIQ", config.intIqEntries},
+           IssueQueue{"lsIQ", config.lsIqEntries},
+           IssueQueue{"fpIQ", config.fpIqEntries}},
+      lsq_(config.lsqEntries),
       intRegs_(config.intRegs),
       fpRegs_(config.fpRegs), intUnits_("intFU", config.intUnits),
       fpUnits_("fpFU", config.fpUnits), memUnits_("memFU", config.memUnits),
@@ -80,8 +77,7 @@ SmtCore::SmtCore(const CoreConfig &config, mem::MemoryHierarchy &mem,
     for (unsigned t = 0; t < config.numThreads; ++t) {
         RAT_ASSERT(streams[t] != nullptr, "null trace stream");
         threads_[t].gen = streams[t];
-        if (!config_.broadcastScheduler)
-            threads_[t].traceMemo.resize(kTraceMemoSize);
+        threads_[t].traceMemo.resize(kTraceMemoSize);
     }
     policy_.reset(*this);
 }
@@ -251,16 +247,6 @@ SmtCore::skipTo(Cycle target)
     // work; replay the elided ticks' increments in closed form.
     renameRR_ = static_cast<unsigned>((renameRR_ + span) % n);
     commitRR_ = static_cast<unsigned>((commitRR_ + span) % n);
-
-    // The broadcast reference rescans every issue-queue entry each
-    // cycle even when none is ready; integrate its visit counter so the
-    // reference's work accounting stays bit-identical to ticking.
-    if (config_.broadcastScheduler) {
-        std::uint64_t per_cycle = 0;
-        for (const auto &iq : iqs_)
-            per_cycle += iq.size();
-        sched_.readySelectVisits += span * per_cycle;
-    }
 
     policy_.onCyclesSkipped(*this, span);
 
@@ -511,11 +497,6 @@ SmtCore::resolveControl(DynInst &inst)
 void
 SmtCore::wakeConsumers(bool is_fp, MapEntry tag, bool inv)
 {
-    if (config_.broadcastScheduler) {
-        wakeConsumersBroadcast(is_fp, tag, inv);
-        return;
-    }
-
     // Event-driven: the register carries the exact list of waiting
     // (instruction, source) nodes; consume it wholesale. Nodes of
     // instructions folded since they linked are skipped — they retire
@@ -544,38 +525,8 @@ SmtCore::wakeConsumers(bool is_fp, MapEntry tag, bool inv)
 }
 
 void
-SmtCore::wakeConsumersBroadcast(bool is_fp, MapEntry tag, bool inv)
-{
-    // The seed implementation, verbatim: scan every entry of every
-    // issue queue through a generation-checked handle on each register
-    // writeback.
-    for (auto &iq : iqs_) {
-        for (const InstHandle h : iq.legacyHandles()) {
-            ++sched_.regWakeVisits;
-            DynInst *c = pool_.get(h);
-            if (!c || c->status != InstStatus::InQueue)
-                continue;
-            for (unsigned i = 0; i < c->numSrcs; ++i) {
-                if (c->srcState[i] == SrcState::Waiting &&
-                    c->srcIsFp[i] == is_fp && c->srcTag[i] == tag) {
-                    c->srcState[i] =
-                        inv ? SrcState::Invalid : SrcState::Ready;
-                    if (inv)
-                        foldQueue_.push_back(h);
-                }
-            }
-        }
-    }
-}
-
-void
 SmtCore::wakeStoreDependents(DynInst &store, bool inv)
 {
-    if (config_.broadcastScheduler) {
-        wakeStoreDependentsBroadcast(store, inv);
-        return;
-    }
-
     DynInst *c = store.depHead;
     store.depHead = nullptr;
     store.schedLinkMask &= static_cast<std::uint8_t>(~DynInst::kDepHead);
@@ -587,8 +538,7 @@ SmtCore::wakeStoreDependents(DynInst &store, bool inv)
         c->onDepList = false;
         c->schedLinkMask &= static_cast<std::uint8_t>(~DynInst::kDepLink);
         // Loads folded since they linked keep their stale dependence
-        // tag, exactly like the broadcast scan (which no longer saw
-        // them once they left the memory IQ).
+        // tag: only a load still in the memory IQ is woken.
         if (c->status == InstStatus::InQueue &&
             c->depStoreUid == store.uid) {
             c->depStoreUid = 0;
@@ -598,38 +548,6 @@ SmtCore::wakeStoreDependents(DynInst &store, bool inv)
                 pushReady(*c);
         }
         c = next;
-    }
-}
-
-DynInst *
-SmtCore::legacyStoreForwardMatch(const DynInst &load, Addr line)
-{
-    // Seed walk: the whole per-thread memory-op deque, handle-checked.
-    DynInst *match = nullptr;
-    for (const InstHandle h : lsq_.legacyThreadList(load.tid)) {
-        DynInst *other = pool_.get(h);
-        if (!other || other->uid >= load.uid)
-            break; // program-ordered: done once we reach self
-        if (trace::isStoreOp(other->op.op) &&
-            mem_.l1d().lineAlign(other->op.effAddr) == line) {
-            match = other;
-        }
-    }
-    return match;
-}
-
-void
-SmtCore::wakeStoreDependentsBroadcast(const DynInst &store, bool inv)
-{
-    IssueQueue &mem_iq = queueOf(IqClass::Mem);
-    for (const InstHandle h : mem_iq.legacyHandles()) {
-        ++sched_.storeWakeVisits;
-        DynInst *c = pool_.get(h);
-        if (!c || c->depStoreUid != store.uid)
-            continue;
-        c->depStoreUid = 0;
-        if (inv)
-            foldQueue_.push_back(h);
     }
 }
 
@@ -854,30 +772,15 @@ SmtCore::enterRunahead(ThreadId tid, DynInst &blocking_load)
     // the hierarchy as a prefetch. Without this, runahead progress would
     // serialize behind the very misses it is meant to overlap.
     // Folding never changes LSQ membership, so the intrusive list can
-    // be walked in place; the legacy reference keeps the seed's
-    // defensive heap snapshot of the whole thread list.
-    if (!config_.broadcastScheduler) {
-        for (DynInst *inst = lsq_.head(tid); inst != nullptr;) {
-            DynInst *next = inst->lsqNext;
-            if (trace::isLoadOp(inst->op.op) &&
-                inst->status == InstStatus::Executing && inst->memIssued &&
-                inst->longLatency) {
-                foldInst(*inst);
-            }
-            inst = next;
+    // be walked in place.
+    for (DynInst *inst = lsq_.head(tid); inst != nullptr;) {
+        DynInst *next = inst->lsqNext;
+        if (trace::isLoadOp(inst->op.op) &&
+            inst->status == InstStatus::Executing && inst->memIssued &&
+            inst->longLatency) {
+            foldInst(*inst);
         }
-    } else {
-        const std::vector<InstHandle> mem_ops(
-            lsq_.legacyThreadList(tid).begin(),
-            lsq_.legacyThreadList(tid).end());
-        for (const InstHandle h : mem_ops) {
-            DynInst *inst = pool_.get(h);
-            if (inst && trace::isLoadOp(inst->op.op) &&
-                inst->status == InstStatus::Executing && inst->memIssued &&
-                inst->longLatency) {
-                foldInst(*inst);
-            }
-        }
+        inst = next;
     }
 
     // Drain the INV cascade now so dependants fold promptly.
@@ -1207,18 +1110,13 @@ SmtCore::tryIssueInst(DynInst &inst)
 
         // In-flight store-to-load communication (same thread): walk
         // only the thread's in-flight stores, oldest to youngest,
-        // stopping at program order (self). The legacy reference walks
-        // the seed's full per-thread memory-op deque instead.
+        // stopping at program order (self).
         DynInst *match = nullptr;
-        if (!config_.broadcastScheduler) {
-            for (DynInst *other = lsq_.storeHead(inst.tid);
-                 other != nullptr && other->uid < inst.uid;
-                 other = other->lsqStoreNext) {
-                if (mem_.l1d().lineAlign(other->op.effAddr) == line)
-                    match = other; // keep youngest older match
-            }
-        } else {
-            match = legacyStoreForwardMatch(inst, line);
+        for (DynInst *other = lsq_.storeHead(inst.tid);
+             other != nullptr && other->uid < inst.uid;
+             other = other->lsqStoreNext) {
+            if (mem_.l1d().lineAlign(other->op.effAddr) == line)
+                match = other; // keep youngest older match
         }
         if (match) {
             if (match->inv) {
@@ -1228,8 +1126,7 @@ SmtCore::tryIssueInst(DynInst &inst)
             if (match->status != InstStatus::Complete) {
                 // Pending or executing: wait for the store's data.
                 inst.depStoreUid = match->uid;
-                if (!config_.broadcastScheduler)
-                    linkStoreDependent(*match, inst);
+                linkStoreDependent(*match, inst);
                 return false;
             }
             // Forward from the completed store.
@@ -1326,11 +1223,6 @@ SmtCore::tryIssueInst(DynInst &inst)
 void
 SmtCore::issueStage()
 {
-    if (config_.broadcastScheduler) {
-        issueStageBroadcast();
-        return;
-    }
-
     // Event-driven: pop oldest-first from the incrementally maintained
     // ready queue. Entries are validated lazily — instructions folded
     // or squashed since insertion are dropped here; instructions that
@@ -1359,49 +1251,6 @@ SmtCore::issueStage()
     }
     for (const ReadyEntry &e : readyPutback_)
         readyQ_.push(e);
-
-    // Drain INV cascades started by at-issue folding.
-    drainFolds();
-}
-
-void
-SmtCore::issueStageBroadcast()
-{
-    readyScratch_.clear();
-    for (const auto &iq : iqs_) {
-        for (const InstHandle h : iq.legacyHandles()) {
-            ++sched_.readySelectVisits;
-            const DynInst *inst = pool_.get(h);
-            if (inst && inst->status == InstStatus::InQueue &&
-                inst->allSrcsReady()) {
-                readyScratch_.push_back(h);
-            }
-        }
-    }
-    // A non-empty ready list means work was (attempted to be) issued
-    // this cycle and the losers retry next cycle: not quiescent.
-    if (!readyScratch_.empty())
-        tickActivity_ = true;
-
-    std::sort(readyScratch_.begin(), readyScratch_.end(),
-              [this](InstHandle a, InstHandle b) {
-                  const DynInst *ia = pool_.get(a);
-                  const DynInst *ib = pool_.get(b);
-                  return ia->uid < ib->uid; // oldest first
-              });
-
-    unsigned budget = config_.issueWidth;
-    for (const InstHandle h : readyScratch_) {
-        if (budget == 0)
-            break;
-        DynInst *inst = pool_.get(h);
-        if (!inst || inst->status != InstStatus::InQueue)
-            continue; // folded by an earlier issue this cycle
-        if (!inst->allSrcsReady())
-            continue; // acquired a store dependence this cycle
-        if (tryIssueInst(*inst))
-            --budget;
-    }
 
     // Drain INV cascades started by at-issue folding.
     drainFolds();
@@ -1546,13 +1395,11 @@ SmtCore::renameOne(ThreadId tid)
     // Event-driven dispatch: register each still-waiting source on its
     // producer's waiter list; instructions arriving fully ready go
     // straight onto the ready queue.
-    if (!config_.broadcastScheduler) {
-        for (unsigned i = 0; i < inst->numSrcs; ++i) {
-            if (inst->srcState[i] == SrcState::Waiting)
-                linkWaiter(*inst, i);
-        }
-        pushReady(*inst);
+    for (unsigned i = 0; i < inst->numSrcs; ++i) {
+        if (inst->srcState[i] == SrcState::Waiting)
+            linkWaiter(*inst, i);
     }
+    pushReady(*inst);
     return true;
 }
 
@@ -1589,8 +1436,6 @@ SmtCore::renameStage()
 trace::MicroOp
 SmtCore::traceAt(ThreadState &t, InstSeq seq)
 {
-    if (config_.broadcastScheduler)
-        return t.gen->at(seq); // legacy: regenerate, as the seed did
     ThreadState::TraceMemoEntry &e =
         t.traceMemo[seq & (kTraceMemoSize - 1)];
     if (e.seq != seq) {

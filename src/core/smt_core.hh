@@ -20,9 +20,7 @@
  *                     load at the thread's ROB head, gated by
  *                     RunaheadEngine::mayEnter)
  *   4. issue        — oldest-first select from the event-driven ready
- *                     queue (or a full-IQ rescan in the legacy
- *                     broadcast reference mode; DESIGN.md,
- *                     "Event-driven wakeup")
+ *                     queue (DESIGN.md, "Event-driven wakeup")
  *   5. rename       — round-robin over threads, shared width; runahead
  *                     INV folding happens here; waiting sources link
  *                     onto their producer registers' waiter lists
@@ -39,7 +37,6 @@
 #define RAT_CORE_SMT_CORE_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -181,11 +178,9 @@ class SmtCore
 
     /**
      * Scheduler hot-path work counters (reset by resetStats). Each
-     * "visit" is one candidate examined: in the event-driven scheduler
-     * that is one actual dependence edge or ready instruction, in the
-     * broadcast reference mode one scanned issue-queue entry. The
-     * scheduler-equivalence tests pin the O(actual dependents) claim of
-     * DESIGN.md "Event-driven wakeup" on these.
+     * "visit" is one candidate examined: one actual dependence edge or
+     * one ready-queue entry. The core tests pin the O(actual
+     * dependents) claim of DESIGN.md "Event-driven wakeup" on these.
      */
     struct SchedCounters {
         /** Candidates examined by wakeConsumers. */
@@ -316,13 +311,11 @@ class SmtCore
         Cycle lastFpIssue = 0;
 
         /**
-         * Trace memoization (event-driven mode only): runahead exit and
-         * branch redirects rewind nextSeq and refetch the same trace
-         * window — under RaT, well over half of all fetches are
-         * refetches. TraceGenerator::at is purely functional in
-         * (seed, seq), so a direct-mapped memo turns those refetches
-         * into array hits. The legacy scheduler mode bypasses it and
-         * regenerates every micro-op, like the seed implementation.
+         * Trace memoization: runahead exit and branch redirects rewind
+         * nextSeq and refetch the same trace window — under RaT, well
+         * over half of all fetches are refetches. TraceGenerator::at is
+         * purely functional in (seed, seq), so a direct-mapped memo
+         * turns those refetches into array hits.
          */
         struct TraceMemoEntry {
             InstSeq seq = ~InstSeq{0};
@@ -376,7 +369,7 @@ class SmtCore
     /** Trace-memo capacity per thread (power of two, covers the fetch
      * window of one runahead episode). */
     static constexpr std::size_t kTraceMemoSize = 1024;
-    /** Micro-op at @p seq of @p t's trace, memoized in event mode. */
+    /** Micro-op at @p seq of @p t's trace, via the trace memo. */
     trace::MicroOp traceAt(ThreadState &t, InstSeq seq);
     void fetchThread(ThreadId tid, unsigned &budget);
     bool renameOne(ThreadId tid);
@@ -412,15 +405,6 @@ class SmtCore
     /** Enqueue @p inst for issue if it is in-queue and fully ready. */
     void pushReady(DynInst &inst);
 
-    // Broadcast reference implementations (config_.broadcastScheduler):
-    // the original full-scan scheduler, kept for the before/after
-    // perf_simspeed bench and the equivalence tests.
-    void wakeConsumersBroadcast(bool is_fp, MapEntry tag, bool inv);
-    void wakeStoreDependentsBroadcast(const DynInst &store, bool inv);
-    void issueStageBroadcast();
-    /** Seed store-forward scan over the legacy LSQ deque. */
-    DynInst *legacyStoreForwardMatch(const DynInst &load, Addr line);
-
     /** Start an episode: engine checkpoint + fold of in-flight misses. */
     void enterRunahead(ThreadId tid, DynInst &blocking_load);
     /** End an episode: squash the window, restore the checkpoint. */
@@ -448,8 +432,8 @@ class SmtCore
      * @p target without ticking: integrate the sampleCycle()
      * accumulators analytically over the span (occupancy is constant
      * while quiescent, so multiply instead of loop), advance the
-     * per-cycle rotation cursors and the broadcast-mode scan counters
-     * exactly as the elided ticks would have, and notify the policy.
+     * per-cycle rotation cursors exactly as the elided ticks would
+     * have, and notify the policy.
      */
     void skipTo(Cycle target);
 
@@ -539,7 +523,7 @@ class SmtCore
     EventQueue completions_;
     EventQueue l2Detections_;
 
-    ReadyQueue readyQ_; ///< age-ordered ready instructions (event mode)
+    ReadyQueue readyQ_; ///< age-ordered ready instructions
     SchedCounters sched_;
     SkipStats skip_;
 
@@ -578,7 +562,6 @@ class SmtCore
     std::array<EpisodeTraceEntry, kMaxThreads> raTrace_{};
 
     std::vector<ThreadId> fetchOrder_; // scratch
-    std::vector<InstHandle> readyScratch_; // broadcast-mode scratch
     std::vector<ReadyEntry> readyPutback_; // un-issued ready re-queue
     std::vector<InstHandle> foldQueue_; // INV cascade worklist
 };

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -44,24 +43,14 @@ iqClassOf(trace::OpClass op)
  * One issue queue: unordered slots holding live instructions. Members
  * track their own slot index (DynInst::iqPos), so removal is O(1)
  * swap-with-back; the event-driven scheduler never scans the queue.
- *
- * When constructed in legacy mode the queue additionally mirrors the
- * seed implementation's handle vector (insert = push_back, remove =
- * linear scan + swap-with-back) so the broadcast reference scheduler
- * reproduces the pre-refactor wakeup scans — cost profile included
- * (generation-checked handle dereference per scanned entry). The two
- * vectors see the identical operation sequence, so they stay
- * element-aligned and scan order is the seed's.
  */
 class IssueQueue
 {
   public:
-    IssueQueue(std::string name, unsigned capacity, bool legacy = false)
-        : name_(std::move(name)), capacity_(capacity), legacy_(legacy)
+    IssueQueue(std::string name, unsigned capacity)
+        : name_(std::move(name)), capacity_(capacity)
     {
         entries_.reserve(capacity);
-        if (legacy_)
-            handles_.reserve(capacity);
     }
 
     bool full() const { return entries_.size() >= capacity_; }
@@ -77,8 +66,6 @@ class IssueQueue
                    name_.c_str());
         inst.iqPos = static_cast<std::uint32_t>(entries_.size());
         entries_.push_back(&inst);
-        if (legacy_)
-            handles_.push_back(inst.handle());
     }
 
     /** Remove a member in O(1) (swap-with-back via iqPos). */
@@ -92,37 +79,15 @@ class IssueQueue
         entries_[inst.iqPos] = back;
         back->iqPos = inst.iqPos;
         entries_.pop_back();
-        if (legacy_) {
-            // Seed removal: scan for the handle, swap with back.
-            const InstHandle h = inst.handle();
-            for (std::size_t i = 0; i < handles_.size(); ++i) {
-                if (handles_[i] == h) {
-                    handles_[i] = handles_.back();
-                    handles_.pop_back();
-                    break;
-                }
-            }
-        }
     }
 
     /** All current entries (introspection and structure tests). */
     const std::vector<DynInst *> &entries() const { return entries_; }
 
-    /** Seed-layout handles (legacy broadcast scans only). */
-    const std::vector<InstHandle> &
-    legacyHandles() const
-    {
-        RAT_ASSERT(legacy_, "%s: legacy handle mirror disabled",
-                   name_.c_str());
-        return handles_;
-    }
-
   private:
     std::string name_;
     unsigned capacity_;
-    bool legacy_;
     std::vector<DynInst *> entries_;
-    std::vector<InstHandle> handles_;
 };
 
 /**
@@ -197,19 +162,11 @@ class InstList
  * runahead squashes from the back, but nothing here depends on that).
  * Members are always live instructions: every path removes a memory op
  * from the LSQ before releasing it to the pool.
- *
- * In legacy mode the per-thread handle deques of the seed
- * implementation are mirrored as well (O(n) middle-of-deque erase on
- * removal), so the broadcast reference scheduler walks and pays for
- * exactly the structure the refactor replaced.
  */
 class Lsq
 {
   public:
-    explicit Lsq(unsigned capacity, bool legacy = false)
-        : capacity_(capacity), legacy_(legacy)
-    {
-    }
+    explicit Lsq(unsigned capacity) : capacity_(capacity) {}
 
     bool full() const { return used_ >= capacity_; }
     unsigned used() const { return used_; }
@@ -242,8 +199,6 @@ class Lsq
         inst.inLsq = true;
         ++t.count;
         ++used_;
-        if (legacy_)
-            legacyLists_[inst.tid].push_back(inst.handle());
     }
 
     /**
@@ -281,17 +236,6 @@ class Lsq
         inst.inLsq = false;
         --t.count;
         --used_;
-        if (legacy_) {
-            // Seed removal: O(n) scan + middle-of-deque erase.
-            auto &list = legacyLists_[inst.tid];
-            for (std::size_t i = 0; i < list.size(); ++i) {
-                if (list[i] == inst.handle()) {
-                    list.erase(list.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-                    break;
-                }
-            }
-        }
     }
 
     /**
@@ -315,14 +259,6 @@ class Lsq
         return lists_[tid].storeCount;
     }
 
-    /** Seed-layout per-thread handles (legacy reference mode only). */
-    const std::deque<InstHandle> &
-    legacyThreadList(ThreadId tid) const
-    {
-        RAT_ASSERT(legacy_, "legacy LSQ mirror disabled");
-        return legacyLists_[tid];
-    }
-
   private:
     struct Thread {
         DynInst *head = nullptr;
@@ -334,10 +270,8 @@ class Lsq
     };
 
     unsigned capacity_;
-    bool legacy_;
     unsigned used_ = 0;
     std::array<Thread, kMaxThreads> lists_{};
-    std::array<std::deque<InstHandle>, kMaxThreads> legacyLists_{};
 };
 
 /**

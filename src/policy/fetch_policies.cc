@@ -1,7 +1,5 @@
 #include "policy/fetch_policies.hh"
 
-#include <algorithm>
-
 namespace rat::policy {
 
 void
@@ -31,26 +29,17 @@ IcountPolicy::fetchOrder(const core::SmtCore &core,
     order.clear();
     for (unsigned i = 0; i < n; ++i)
         order.push_back(static_cast<ThreadId>((tiebreak_ + i) % n));
-    if (core.config().broadcastScheduler) {
-        // Legacy reference path: the seed implementation's per-cycle
-        // std::stable_sort (which allocates its merge buffer).
-        std::stable_sort(order.begin(), order.end(),
-                         [&core](ThreadId a, ThreadId b) {
-                             return core.icount(a) < core.icount(b);
-                         });
-    } else {
-        // n <= kMaxThreads = 8: a stable insertion sort orders the few
-        // thread ids without the per-cycle allocation of stable_sort.
-        for (std::size_t i = 1; i < order.size(); ++i) {
-            const ThreadId v = order[i];
-            const unsigned key = core.icount(v);
-            std::size_t j = i;
-            while (j > 0 && core.icount(order[j - 1]) > key) {
-                order[j] = order[j - 1];
-                --j;
-            }
-            order[j] = v;
+    // n <= kMaxThreads = 8: a stable insertion sort orders the few
+    // thread ids without the per-cycle allocation of stable_sort.
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        const ThreadId v = order[i];
+        const unsigned key = core.icount(v);
+        std::size_t j = i;
+        while (j > 0 && core.icount(order[j - 1]) > key) {
+            order[j] = order[j - 1];
+            --j;
         }
+        order[j] = v;
     }
     tiebreak_ = (tiebreak_ + 1) % n;
 }

@@ -2,6 +2,10 @@
 
 #include <chrono>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "check/digest.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -9,6 +13,32 @@
 #include "trace/profile.hh"
 
 namespace rat::sim {
+
+namespace {
+
+/**
+ * Sweeps and benchmarks construct and destroy Simulators back to back.
+ * By default glibc may hand the ~1.3 MB a core frees at teardown back to
+ * the OS (whether it does depends on the heap layout left behind), and
+ * the next construction then page-faults all of it again: about five
+ * times the cost of a construction that reuses the memory. Keep blocks
+ * of that size on the heap and freed memory in the process. Set once,
+ * process-wide; it cannot affect results.
+ */
+void
+retainFreedHeap()
+{
+#ifdef __GLIBC__
+    static const bool once = [] {
+        mallopt(M_MMAP_THRESHOLD, 4 << 20);
+        mallopt(M_TRIM_THRESHOLD, 32 << 20);
+        return true;
+    }();
+    (void)once;
+#endif
+}
+
+} // namespace
 
 double
 SimResult::totalIpc() const
@@ -46,6 +76,7 @@ SimResult::executedTotal() const
 Simulator::Simulator(SimConfig config, std::vector<std::string> programs)
     : config_(std::move(config)), programs_(std::move(programs))
 {
+    retainFreedHeap();
     if (programs_.empty())
         fatal("simulator needs at least one program");
     config_.core.numThreads = static_cast<unsigned>(programs_.size());

@@ -86,11 +86,10 @@ struct SimConfig {
     int sampleIndex = -1;
 
     // ---- host-side observability; cannot affect results ------------
-    // Like CoreConfig::broadcastScheduler and cycleSkipping, the
-    // tracer settings are deliberately NOT part of the serialized
-    // configuration: tracing only observes the simulation (pinned by
-    // the TraceSmoke byte-identity test), so it must not change
-    // result-cache keys.
+    // Like CoreConfig::cycleSkipping, the tracer settings are
+    // deliberately NOT part of the serialized configuration: tracing
+    // only observes the simulation (pinned by the TraceSmoke
+    // byte-identity test), so it must not change result-cache keys.
     /** Chrome trace-event JSON output path ("" = tracing off). */
     std::string traceOut;
     /** obs::Category mask of event classes to record. */

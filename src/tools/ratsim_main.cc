@@ -10,9 +10,10 @@
  *   ratsim farm   [options]   the same campaign grid, sharded across
  *                             worker processes with a shared cache;
  *                             crash-safe and resumable
- *   ratsim verify [options]   determinism audit: one config across the
- *                             host-mode grid + save/restore leg, digest
- *                             streams compared, divergences bisected
+ *   ratsim verify [options]   determinism audit: one config with cycle
+ *                             skipping on and off + a save/restore leg,
+ *                             per ra-variant; digest streams compared,
+ *                             divergences bisected
  *
  * `ratsim --farm-worker` is the internal worker-process entry point
  * the farm coordinator fork/execs; it speaks length-prefixed JSON on
@@ -595,7 +596,7 @@ runCommand(const std::vector<std::string> &args, bool structured)
 
 /**
  * `ratsim verify`: run one configuration across the host-side mode
- * grid (cycle-skip x scheduler x ra-variant) plus a save/restore leg
+ * grid (cycle-skip x ra-variant) plus a save/restore leg
  * and compare state-digest streams; bisect any divergence to the
  * first differing cycle. Exit 0 = consistent; 1 = divergence found
  * (including a deliberately seeded one); 2 = a seeded mutation went

@@ -3,9 +3,8 @@
  * State-digest pins (DESIGN.md, "Self-checking & determinism audit"):
  *
  *  - mode invariance: the digest stream of one configuration is
- *    byte-identical across the full host-side mode grid (cycle-skip
- *    on/off x event/broadcast scheduler) — the property `ratsim
- *    verify` bisects violations of;
+ *    byte-identical with cycle skipping on and off — the property
+ *    `ratsim verify` bisects violations of;
  *  - boundary semantics: digests land exactly every `digestWindow`
  *    cycles from measurement start, and run-to-run reproduction is
  *    exact;
@@ -29,7 +28,7 @@ namespace rat::check {
 namespace {
 
 sim::SimConfig
-digestConfig(bool skip, bool broadcast)
+digestConfig(bool skip)
 {
     sim::SimConfig cfg;
     cfg.prewarmInsts = 100000;
@@ -38,7 +37,6 @@ digestConfig(bool skip, bool broadcast)
     cfg.digestWindow = 256;
     cfg.core.policy = core::PolicyKind::Rat;
     cfg.core.cycleSkipping = skip;
-    cfg.core.broadcastScheduler = broadcast;
     return cfg;
 }
 
@@ -51,30 +49,15 @@ runTrack(const sim::SimConfig &cfg)
 
 TEST(DigestCheck, StreamIsIdenticalAcrossTheModeGrid)
 {
-    const obs::DigestTrack ref = runTrack(digestConfig(true, false));
+    const obs::DigestTrack ref = runTrack(digestConfig(true));
     ASSERT_TRUE(ref.enabled());
     EXPECT_EQ(ref.samples.size(), 10000u / 256u);
-
-    const struct {
-        const char *name;
-        bool skip;
-        bool broadcast;
-    } legs[] = {
-        {"noskip+event", false, false},
-        {"skip+broadcast", true, true},
-        {"noskip+broadcast", false, true},
-    };
-    for (const auto &leg : legs) {
-        SCOPED_TRACE(leg.name);
-        const obs::DigestTrack other =
-            runTrack(digestConfig(leg.skip, leg.broadcast));
-        EXPECT_TRUE(ref == other);
-    }
+    EXPECT_TRUE(ref == runTrack(digestConfig(false)));
 }
 
 TEST(DigestCheck, BoundariesAreWindowExactAndReproducible)
 {
-    const sim::SimConfig cfg = digestConfig(true, false);
+    const sim::SimConfig cfg = digestConfig(true);
     const obs::DigestTrack first = runTrack(cfg);
     ASSERT_FALSE(first.samples.empty());
 
@@ -89,7 +72,7 @@ TEST(DigestCheck, BoundariesAreWindowExactAndReproducible)
 
 TEST(DigestCheck, ResultAndConfigRoundTripThroughJson)
 {
-    const sim::SimConfig cfg = digestConfig(true, false);
+    const sim::SimConfig cfg = digestConfig(true);
     sim::Simulator sim(cfg, {"art", "gzip"});
     const sim::SimResult result = sim.run();
     ASSERT_TRUE(result.digest.enabled());
@@ -110,7 +93,7 @@ TEST(DigestCheck, ResultAndConfigRoundTripThroughJson)
 
 TEST(DigestCheck, SingleFlipMutationDivergesFromItsBoundaryOn)
 {
-    const sim::SimConfig clean = digestConfig(true, false);
+    const sim::SimConfig clean = digestConfig(true);
     const obs::DigestTrack ref = runTrack(clean);
 
     sim::SimConfig mutated = clean;

@@ -167,21 +167,6 @@ TEST(Lsq, StoreChainTracksOnlyStores)
     EXPECT_EQ(lsq.threadCount(0), 3u);
 }
 
-TEST(Lsq, LegacyMirrorTracksSeedDeque)
-{
-    Lsq lsq(8, /*legacy=*/true);
-    DynInst a, b;
-    a.tid = 0;
-    b.tid = 0;
-    lsq.insert(a);
-    lsq.insert(b);
-    ASSERT_EQ(lsq.legacyThreadList(0).size(), 2u);
-    EXPECT_EQ(lsq.legacyThreadList(0).front(), a.handle());
-    lsq.remove(a);
-    ASSERT_EQ(lsq.legacyThreadList(0).size(), 1u);
-    EXPECT_EQ(lsq.legacyThreadList(0).front(), b.handle());
-}
-
 TEST(FuncUnitPool, LimitsConcurrentIssue)
 {
     FuncUnitPool pool("fu", 2);

@@ -2,8 +2,8 @@
  * @file
  * Round-trip tests for the "ratck2" architectural checkpoint codec
  * (sim/checkpoint.hh): restore-then-run must be digest-identical to
- * run-through at every --digest-window boundary, across the host-side
- * scheduler implementation, cycle skipping and the runahead variants;
+ * run-through at every --digest-window boundary, across cycle skipping
+ * and the runahead variants;
  * corrupted blobs must be refused; the file key must share checkpoints
  * across the knobs the functional walk ignores and split them on the
  * knobs it depends on.
@@ -81,31 +81,26 @@ expectIdentical(const SimResult &through, const SimResult &restored)
 
 TEST(Checkpoint, RestoreMatchesRunThroughAcrossHostKnobGrid)
 {
-    // One blob serves the whole grid: the scheduler implementation,
-    // cycle skipping and the runahead variant are all invisible to the
-    // functional walk (and excluded from the file key).
+    // One blob serves the whole grid: cycle skipping and the runahead
+    // variant are both invisible to the functional walk (and excluded
+    // from the file key).
     const std::string blob = encodeAt(ckptConfig());
 
-    for (const bool broadcast : {false, true}) {
-        for (const bool skip : {true, false}) {
-            for (const runahead::RaVariant variant :
-                 {runahead::RaVariant::Classic,
-                  runahead::RaVariant::Capped,
-                  runahead::RaVariant::UselessFilter}) {
-                SimConfig cfg = ckptConfig();
-                cfg.core.broadcastScheduler = broadcast;
-                cfg.core.cycleSkipping = skip;
-                cfg.core.rat.variant = variant;
+    for (const bool skip : {true, false}) {
+        for (const runahead::RaVariant variant :
+             {runahead::RaVariant::Classic, runahead::RaVariant::Capped,
+              runahead::RaVariant::UselessFilter}) {
+            SimConfig cfg = ckptConfig();
+            cfg.core.cycleSkipping = skip;
+            cfg.core.rat.variant = variant;
 
-                Simulator through(cfg, kMix);
-                const SimResult a = through.run();
-                const SimResult b = restoreAndRun(cfg, blob);
-                SCOPED_TRACE(testing::Message()
-                             << "broadcast=" << broadcast
-                             << " skip=" << skip << " variant="
-                             << runahead::raVariantName(variant));
-                expectIdentical(a, b);
-            }
+            Simulator through(cfg, kMix);
+            const SimResult a = through.run();
+            const SimResult b = restoreAndRun(cfg, blob);
+            SCOPED_TRACE(testing::Message()
+                         << "skip=" << skip << " variant="
+                         << runahead::raVariantName(variant));
+            expectIdentical(a, b);
         }
     }
 }
