@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "runahead/variant.hh"
+#include "sim/checkpoint.hh"
 
 namespace rat::check {
 
@@ -15,7 +16,28 @@ struct LegSpec {
     const char *name;
     bool cycleSkip;
     Cycle checkpointEvery; ///< save/restore leg only
+    /** Restore the prewarm from a walk under another policy. */
+    bool prewarmRestore = false;
 };
+
+/**
+ * The post-prewarm checkpoint of @p cfg, walked by a Simulator under a
+ * different scheduling policy: the state a campaign cell restores was
+ * walked by whichever cell of its identity ran first.
+ */
+sim::PrewarmCheckpoint
+walkUnderAnotherPolicy(const sim::SimConfig &cfg,
+                       const std::vector<std::string> &programs)
+{
+    sim::SimConfig walk = cfg;
+    walk.core.policy = cfg.core.policy == core::PolicyKind::Icount
+                           ? core::PolicyKind::RoundRobin
+                           : core::PolicyKind::Icount;
+    sim::Simulator walker(walk, programs);
+    walker.smtCore().prewarm(walk.prewarmInsts);
+    return {sim::prewarmIdentity(walk, programs),
+            sim::CheckpointCodec::encode(walker)};
+}
 
 /**
  * Run one leg: the base config with this leg's host modes, a digest
@@ -33,8 +55,22 @@ runLeg(const VerifyOptions &options, runahead::RaVariant variant,
     cfg.engineCheckpointEvery = leg.checkpointEvery;
     cfg.mutateAtCycle = mutate_at;
     cfg.captureStateAtCycle = capture_at;
-    sim::Simulator simulator(cfg, options.programs);
-    return simulator.run();
+    if (!leg.prewarmRestore) {
+        sim::Simulator simulator(cfg, options.programs);
+        return simulator.run();
+    }
+    // The campaign path itself; a walk instead of a restore would hide
+    // exactly what this leg is for.
+    sim::PrewarmCheckpoint ckpt =
+        walkUnderAnotherPolicy(cfg, options.programs);
+    bool restored = false;
+    sim::SimResult result =
+        sim::restoreOrWalk(cfg, options.programs, ckpt, restored);
+    if (!restored)
+        fatal("verify: %s leg (ra-variant %s): the post-prewarm "
+              "checkpoint was not restored",
+              leg.name, runahead::raVariantName(variant));
+    return result;
 }
 
 /**
@@ -112,6 +148,7 @@ runVerify(const VerifyOptions &options)
     const LegSpec grid[] = {
         {"noskip+event", false, 0},
         {"save-restore", true, options.checkpointEvery},
+        {"prewarm-restore", true, 0, true},
     };
 
     std::vector<runahead::RaVariant> variants;

@@ -4,9 +4,12 @@
  * configuration across the host-side mode grid — cycle-skip on/off,
  * for every runahead variant when the policy is runahead-capable —
  * plus a save/restore leg that round-trips the engine's episode
- * checkpoints every few cycles. All legs must produce byte-identical
+ * checkpoints every few cycles, and a prewarm-restore leg that restores
+ * the post-prewarm state from a "ratck2" checkpoint walked under a
+ * different scheduling policy, through the campaign path
+ * (sim::restoreOrWalk). All legs must produce byte-identical
  * state-digest streams (see digest.hh for why that is the right
- * equivalence).
+ * equivalence). A prewarm checkpoint that does not restore is fatal.
  *
  * On divergence (or with a deliberately seeded `--mutate-at` fault)
  * the driver narrows the coarse digest window down to the exact first
@@ -60,7 +63,7 @@ struct Divergence {
 
 /** Everything `runVerify` learned. */
 struct VerifyOutcome {
-    /** Mode-grid + save/restore legs all matched the reference. */
+    /** Mode-grid and restore legs all matched the reference. */
     bool gridConsistent = true;
     /** Legs compared against a reference (across all variants). */
     unsigned legsCompared = 0;

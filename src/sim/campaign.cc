@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -9,6 +10,7 @@
 #include "common/logging.hh"
 #include "report/result_cache.hh"
 #include "report/serialize.hh"
+#include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
 #include "sim/sampled.hh"
 
@@ -154,10 +156,66 @@ planCampaign(const CampaignSpec &spec, const report::ResultCache &cache)
     plan.outcome.cacheMisses = cache.misses();
     plan.outcome.cacheQuarantined = cache.quarantined();
 
-    plan.leads.reserve(plan.pending.size());
-    for (const auto &[key, indices] : plan.pending)
-        plan.leads.push_back(indices.front());
+    // Leads in key order, then stably grouped by prewarm identity so
+    // the cells that can share one walk are adjacent.
+    std::vector<std::pair<std::uint64_t, std::size_t>> byIdentity;
+    byIdentity.reserve(plan.pending.size());
+    for (const auto &[key, indices] : plan.pending) {
+        const CampaignCell &lead = plan.outcome.cells[indices.front()];
+        byIdentity.emplace_back(prewarmIdentity(lead.config, lead.programs),
+                                indices.front());
+    }
+    std::stable_sort(
+        byIdentity.begin(), byIdentity.end(),
+        [](const auto &a, const auto &b) { return a.first < b.first; });
+    plan.leads.reserve(byIdentity.size());
+    for (const auto &[identity, lead] : byIdentity)
+        plan.leads.push_back(lead);
     return plan;
+}
+
+std::vector<std::vector<std::size_t>>
+campaignJobs(const CampaignPlan &plan, unsigned workers)
+{
+    // Runs of adjacent exact-mode leads with one prewarm identity.
+    std::vector<std::vector<std::size_t>> runs;
+    bool runOpen = false; // runs.back() may take more leads
+    std::uint64_t runIdentity = 0;
+    for (const std::size_t lead : plan.leads) {
+        const CampaignCell &cell = plan.outcome.cells[lead];
+        if (cell.config.sampled) {
+            runs.push_back({lead});
+            runOpen = false;
+            continue;
+        }
+        const std::uint64_t identity =
+            prewarmIdentity(cell.config, cell.programs);
+        if (runOpen && identity == runIdentity) {
+            runs.back().push_back(lead);
+            continue;
+        }
+        runs.push_back({lead});
+        runOpen = true;
+        runIdentity = identity;
+    }
+    if (runs.empty() || runs.size() >= workers)
+        return runs;
+
+    // Fewer runs than workers: cut each into near-equal contiguous
+    // pieces, each of which walks once.
+    const std::size_t pieces = (workers + runs.size() - 1) / runs.size();
+    std::vector<std::vector<std::size_t>> jobs;
+    for (const std::vector<std::size_t> &run : runs) {
+        const std::size_t n = std::min(pieces, run.size());
+        for (std::size_t k = 0; k < n; ++k) {
+            const auto at = [&run, n](std::size_t piece) {
+                return run.begin() +
+                       static_cast<std::ptrdiff_t>(piece * run.size() / n);
+            };
+            jobs.emplace_back(at(k), at(k + 1));
+        }
+    }
+    return jobs;
 }
 
 void
@@ -179,35 +237,53 @@ runCampaign(const CampaignSpec &spec)
     CampaignPlan plan = planCampaign(spec, cache);
     CampaignOutcome &outcome = plan.outcome;
 
-    // Simulate the unique misses on the worker pool. Each job owns a
-    // distinct lead cell, so no locking is needed; the completion
-    // counters are atomics because jobs finish concurrently.
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failedStores{0};
-    const std::string ckptDir = checkpointDirFor(spec.cacheDir);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(plan.leads.size());
-    for (const std::size_t lead : plan.leads) {
-        jobs.emplace_back([&outcome, &cache, &completed, &failedStores,
-                           &ckptDir, lead] {
-            CampaignCell &cell = outcome.cells[lead];
-            cell.result =
-                simulateCell(cell.config, cell.programs, ckptDir);
-            // Count completion only after the simulation finished: a
-            // throwing cell must not inflate the simulated count.
-            completed.fetch_add(1);
-            if (cache.enabled() && !cache.store(cell.key, cell.result))
-                failedStores.fetch_add(1);
-        });
-    }
     unsigned workers = spec.parallelism;
     if (!workers) {
         const unsigned hw = std::thread::hardware_concurrency();
         workers = hw ? hw : 4;
     }
+
+    // Simulate the unique misses on the worker pool. Each job owns
+    // distinct lead cells, so no locking is needed; the counters are
+    // atomics because jobs finish concurrently.
+    std::atomic<std::uint64_t> completed{0};
+    std::atomic<std::uint64_t> failedStores{0};
+    std::atomic<std::uint64_t> walks{0};
+    std::atomic<std::uint64_t> restores{0};
+    const std::string ckptDir = checkpointDirFor(spec.cacheDir);
+    std::vector<std::function<void()>> jobs;
+    for (std::vector<std::size_t> &leads : campaignJobs(plan, workers)) {
+        jobs.emplace_back([&outcome, &cache, &completed, &failedStores,
+                           &walks, &restores, &ckptDir,
+                           leads = std::move(leads)] {
+            // Post-prewarm state of this job's identity: the first exact
+            // cell walks and encodes it, the rest restore it. One blob
+            // per worker is alive, freed when the job ends.
+            PrewarmCheckpoint ckpt;
+            for (const std::size_t lead : leads) {
+                CampaignCell &cell = outcome.cells[lead];
+                if (cell.config.sampled) {
+                    cell.result =
+                        simulateCell(cell.config, cell.programs, ckptDir);
+                } else {
+                    bool restored = false;
+                    cell.result = restoreOrWalk(cell.config, cell.programs,
+                                                ckpt, restored);
+                    (restored ? restores : walks).fetch_add(1);
+                }
+                // Count completion only after the simulation finished:
+                // a throwing cell must not inflate the simulated count.
+                completed.fetch_add(1);
+                if (cache.enabled() && !cache.store(cell.key, cell.result))
+                    failedStores.fetch_add(1);
+            }
+        });
+    }
     runParallel(jobs, workers);
     outcome.simulated = completed.load();
     outcome.failedStores = failedStores.load();
+    outcome.prewarmWalks = walks.load();
+    outcome.prewarmRestores = restores.load();
 
     fanOutDuplicates(outcome, plan.pending);
     return outcome;
@@ -222,6 +298,8 @@ mergeSampledOutcome(const CampaignOutcome &outcome)
     merged.simulated = outcome.simulated;
     merged.failedStores = outcome.failedStores;
     merged.cacheQuarantined = outcome.cacheQuarantined;
+    merged.prewarmWalks = outcome.prewarmWalks;
+    merged.prewarmRestores = outcome.prewarmRestores;
 
     // Per-sample cells of one workload coordinate are consecutive
     // (innermost implicit axis), so one forward scan groups them.

@@ -97,6 +97,14 @@ struct CampaignOutcome {
     /** Damaged cache cells quarantined to *.bad while probing; each
      * cost this run exactly one re-simulation. */
     std::uint64_t cacheQuarantined = 0;
+    /**
+     * Exact-mode cells that walked their prewarm, and cells that
+     * restored it from the post-prewarm checkpoint of an earlier cell
+     * with the same prewarm identity. Host-side accounting: never part
+     * of campaignJson.
+     */
+    std::uint64_t prewarmWalks = 0;
+    std::uint64_t prewarmRestores = 0;
 };
 
 /**
@@ -109,7 +117,13 @@ struct CampaignPlan {
     CampaignOutcome outcome;
     /** key -> cell indices, first index is the lead cell. */
     std::map<std::string, std::vector<std::size_t>> pending;
-    /** Lead cell index of every pending key, in key order. */
+    /**
+     * Lead cell index of every pending key, stably sorted by prewarm
+     * identity (sim/checkpoint.hh) from key order: the cells that can
+     * share one prewarm walk are adjacent, so contiguous slices of
+     * this list (runCampaign's jobs, the farm's shards) keep them
+     * together.
+     */
     std::vector<std::size_t> leads;
 };
 
@@ -129,6 +143,17 @@ CampaignPlan planCampaign(const CampaignSpec &spec,
                           const report::ResultCache &cache);
 
 /**
+ * Split @p plan's leads into runCampaign's jobs for @p workers threads.
+ * Exact-mode leads with one prewarm identity form one job, which walks
+ * the prewarm once and restores it for the rest. When there are fewer
+ * such runs than workers, each is cut into ceil(workers / runs)
+ * contiguous jobs so every worker still has one. Sampled leads are jobs
+ * of their own; they share checkpoints through sim/sampled.hh.
+ */
+std::vector<std::vector<std::size_t>>
+campaignJobs(const CampaignPlan &plan, unsigned workers);
+
+/**
  * Copy every pending lead cell's result to its duplicate cells (cells
  * that share the lead's cache key).
  */
@@ -138,8 +163,9 @@ void fanOutDuplicates(CampaignOutcome &outcome,
 
 /**
  * Expand and run a campaign: probe the result cache, simulate the
- * misses on the worker pool (duplicate cells simulate once), store new
- * cells back, and return everything in grid order.
+ * misses on the worker pool (duplicate cells simulate once, cells that
+ * share a prewarm identity walk it once per job), store new cells back,
+ * and return everything in grid order.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec);
 

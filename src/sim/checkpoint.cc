@@ -12,6 +12,7 @@
 
 #include "check/digest.hh"
 #include "check/fnv.hh"
+#include "common/logging.hh"
 #include "core/smt_core.hh"
 #include "mem/hierarchy.hh"
 #include "sim/simulator.hh"
@@ -259,6 +260,43 @@ CheckpointCodec::fileKey(const SimConfig &cfg,
     foldCache(cfg.mem.l2);
     h.u64(cfg.mem.memLatency);
     return h.value();
+}
+
+std::uint64_t
+prewarmIdentity(const SimConfig &cfg,
+                const std::vector<std::string> &programs)
+{
+    return CheckpointCodec::fileKey(cfg, programs, cfg.prewarmInsts);
+}
+
+SimResult
+restoreOrWalk(const SimConfig &cfg, const std::vector<std::string> &programs,
+              PrewarmCheckpoint &ckpt, bool &restored)
+{
+    // Either way the Simulator's own run() must not walk again: the
+    // state comes from the blob or from the walk below.
+    SimConfig noWalk = cfg;
+    noWalk.prewarmInsts = 0;
+    // The digest check cannot tell one workload's walk from another's
+    // with the same geometry; the identity does.
+    const std::uint64_t identity = prewarmIdentity(cfg, programs);
+    if (!ckpt.blob.empty() && ckpt.identity == identity) {
+        Simulator sim(noWalk, programs);
+        std::string error;
+        if (CheckpointCodec::restore(sim, ckpt.blob, &error)) {
+            restored = true;
+            return sim.run();
+        }
+        warn("checkpoint restore failed (%s); falling back to a fresh "
+             "functional walk",
+             error.c_str());
+    }
+    restored = false;
+    Simulator sim(noWalk, programs);
+    sim.smtCore().prewarm(cfg.prewarmInsts);
+    ckpt.identity = identity;
+    ckpt.blob = CheckpointCodec::encode(sim);
+    return sim.run();
 }
 
 } // namespace rat::sim

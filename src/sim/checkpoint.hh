@@ -1,6 +1,7 @@
 /**
  * @file
- * Architectural checkpoint codec for sampled simulation ("ratck2").
+ * Architectural checkpoint codec ("ratck2") for sampled simulation and
+ * for campaign cells that share one prewarm walk (`restoreOrWalk`).
  *
  * A checkpoint captures the *functional post-prewarm* state of one
  * simulation: trace positions, branch predictor, BTB, return-address
@@ -47,6 +48,7 @@ class MemoryHierarchy;
 namespace rat::sim {
 
 struct SimConfig;
+struct SimResult;
 class Simulator;
 
 /**
@@ -97,6 +99,35 @@ class CheckpointCodec
     static void visit(IO &io, core::SmtCore &core,
                       mem::MemoryHierarchy &mem);
 };
+
+/**
+ * Identity of @p cfg's post-prewarm state: the file key at its prewarm
+ * position. Runs with equal identities start from the same state, so
+ * one walk can serve them all.
+ */
+std::uint64_t prewarmIdentity(const SimConfig &cfg,
+                              const std::vector<std::string> &programs);
+
+/** A post-prewarm checkpoint and the prewarm identity it holds. */
+struct PrewarmCheckpoint {
+    std::uint64_t identity = 0;
+    std::string blob; ///< "ratck2" bytes; empty = none
+};
+
+/**
+ * Run @p cfg, taking its post-prewarm state from @p ckpt when it holds
+ * @p cfg's identity.
+ *
+ * Such a blob is restored into a Simulator built with
+ * `prewarmInsts = 0`. Otherwise, or when restore refuses the blob (with
+ * a warning), the run walks its own prewarm and replaces @p ckpt with
+ * that walk's state, so the caller can hand it to the next run of the
+ * same identity. Either way the result is bit-identical to
+ * `Simulator(cfg, programs).run()`. @p restored tells which happened.
+ */
+SimResult restoreOrWalk(const SimConfig &cfg,
+                        const std::vector<std::string> &programs,
+                        PrewarmCheckpoint &ckpt, bool &restored);
 
 } // namespace rat::sim
 

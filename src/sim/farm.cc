@@ -24,6 +24,7 @@
 #include "report/result_cache.hh"
 #include "report/serialize.hh"
 #include "report/wire.hh"
+#include "sim/checkpoint.hh"
 #include "sim/sampled.hh"
 
 namespace rat::sim {
@@ -185,6 +186,8 @@ struct Coordinator {
     std::uint64_t jobsTotal = 0;
     std::uint64_t simulated = 0;
     std::uint64_t failedStores = 0;
+    std::uint64_t prewarmWalks = 0;
+    std::uint64_t prewarmRestores = 0;
 
     /** Worker deaths per lead cell — the retry budget's ledger and
      * the attempt number sent with each job. */
@@ -412,6 +415,12 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
     }
     outcome.cells[lead].result = std::move(result);
     ++simulated;
+    // Exact cells report whether they walked their prewarm or restored
+    // it from the worker's blob of the previous job's identity.
+    if (const report::Json *prewarm = doc->find("prewarm");
+        prewarm && prewarm->isString())
+        ++(prewarm->asString() == "restore" ? prewarmRestores
+                                            : prewarmWalks);
     const report::Json *stored = doc->find("stored");
     if (cache.enabled() && (!stored || !stored->isBool() ||
                             !stored->asBool()))
@@ -947,6 +956,8 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
 
     farm.campaign.simulated = coord.simulated;
     farm.campaign.failedStores = coord.failedStores;
+    farm.campaign.prewarmWalks = coord.prewarmWalks;
+    farm.campaign.prewarmRestores = coord.prewarmRestores;
     farm.completed = coord.jobsDone >= coord.jobsTotal &&
                      farm.failedCells == 0 &&
                      farm.quarantinedCells.empty();
@@ -996,6 +1007,10 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
     const report::ResultCache cache(cache_dir);
     report::FrameReader job_stream(STDIN_FILENO);
     std::uint64_t completed = 0;
+    // Post-prewarm state of the last identity this worker walked. The
+    // coordinator's shards are slices of identity-ordered leads, so
+    // consecutive jobs mostly share it.
+    PrewarmCheckpoint ckpt;
 
     while (auto frame = job_stream.next()) {
         // Test hook: die like kill -9 *between* receiving a job and
@@ -1070,10 +1085,18 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
         } else {
             try {
                 // Sampled cells restore their shared checkpoints from
-                // the cache-adjacent directory; exact cells dispatch
-                // straight to a Simulator run.
-                const SimResult result = simulateCell(
-                    config, programs, checkpointDirFor(cache_dir));
+                // the cache-adjacent directory; exact cells restore the
+                // blob of their prewarm identity, or walk and keep it.
+                SimResult result;
+                if (config.sampled) {
+                    result = simulateCell(config, programs,
+                                          checkpointDirFor(cache_dir));
+                } else {
+                    bool restored = false;
+                    result = restoreOrWalk(config, programs, ckpt, restored);
+                    reply["prewarm"] =
+                        report::Json(restored ? "restore" : "walk");
+                }
                 if (cache.enabled())
                     reply["stored"] = report::Json(
                         cache.store(key->asString(), result));

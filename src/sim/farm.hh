@@ -16,6 +16,10 @@
  *    workers.
  *  - Each worker simulates a cell, lands it in the shared cache with
  *    a crash-safe atomic store, and streams the result frame back.
+ *    Jobs are identity-ordered (CampaignPlan::leads), so a worker
+ *    keeps the post-prewarm checkpoint of the last identity it walked
+ *    and restores it for the following cells of that identity; the
+ *    reply's `prewarm` field says which happened.
  *  - A worker death mid-job is detected as EOF on its pipe: the
  *    in-flight job is requeued onto the surviving workers. Only when
  *    every worker is gone does the farm give up — with all completed

@@ -6,7 +6,10 @@
 
 #include "sim/sampled.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -70,6 +73,17 @@ planKey(const SimConfig &cfg, const std::vector<std::string> &programs)
     return h.value();
 }
 
+/**
+ * Process-wide checkpoint registry: blob by file key. Guarded by
+ * registryMutex().
+ */
+std::map<std::uint64_t, std::string> &
+checkpointRegistry()
+{
+    static std::map<std::uint64_t, std::string> blobs;
+    return blobs;
+}
+
 std::mutex &
 registryMutex()
 {
@@ -104,14 +118,22 @@ readFileBlob(const std::string &path, std::string &blob)
     return in.good() || in.eof();
 }
 
-/** Atomic (write-temp-then-rename) checkpoint persistence. */
+/**
+ * Atomic (write-temp-then-rename) checkpoint persistence. The temp name
+ * is unique per process and write, so concurrent writers of one key
+ * (threads of a sweep, farm workers sharing the directory) never tear
+ * each other's file; the last rename wins with a whole blob.
+ */
 void
 writeFileBlob(const std::string &dir, const std::string &path,
               const std::string &blob)
 {
+    static std::atomic<std::uint64_t> seq{0};
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = path + "." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq.fetch_add(1)) +
+                            ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
@@ -146,8 +168,7 @@ ensureCheckpoints(const SimConfig &cfg,
                   const trace::PhaseProfile &plan,
                   const std::string &ckptDir, std::uint64_t wantKey)
 {
-    static std::map<std::uint64_t, std::string> blobs;
-
+    std::map<std::uint64_t, std::string> &blobs = checkpointRegistry();
     std::lock_guard<std::mutex> lock(registryMutex());
     const auto hit = blobs.find(wantKey);
     if (hit != blobs.end())
@@ -196,6 +217,23 @@ ensureCheckpoints(const SimConfig &cfg,
     return it == blobs.end() ? std::string{} : it->second;
 }
 
+/**
+ * Replace checkpoint @p key with @p blob, freshly encoded by a walk
+ * after the old blob was missing or refused, in the registry and in
+ * @p ckptDir. Without this a refused blob, say one written by a build
+ * with another state layout, would be served again to every later
+ * sample of the workload, here and in every later process.
+ */
+void
+replaceCheckpoint(std::uint64_t key, const std::string &blob,
+                  const std::string &ckptDir)
+{
+    std::lock_guard<std::mutex> lock(registryMutex());
+    checkpointRegistry()[key] = blob;
+    if (!ckptDir.empty() && !blob.empty())
+        writeFileBlob(ckptDir, checkpointPath(ckptDir, key), blob);
+}
+
 /** Exact-semantics execution config for one sample at @p position. */
 SimConfig
 sampleExecConfig(const SimConfig &cfg, InstSeq position)
@@ -229,29 +267,12 @@ runOneSample(const SimConfig &cfg, const std::vector<std::string> &programs,
     const std::uint64_t key =
         CheckpointCodec::fileKey(cfg, programs, position);
 
-    SimResult result;
-    bool ran = false;
-    const std::string blob =
-        ensureCheckpoints(cfg, programs, plan, ckptDir, key);
-    if (!blob.empty()) {
-        SimConfig restored = exec;
-        restored.prewarmInsts = 0; // state comes from the checkpoint
-        Simulator sim(restored, programs);
-        std::string error;
-        if (CheckpointCodec::restore(sim, blob, &error)) {
-            result = sim.run();
-            ran = true;
-        } else {
-            warn("checkpoint restore failed (%s); falling back to a "
-                 "fresh functional walk",
-                 error.c_str());
-        }
-    }
-    if (!ran) {
-        // Bit-identical fallback: a fresh walk to the same position.
-        Simulator sim(exec, programs);
-        result = sim.run();
-    }
+    PrewarmCheckpoint ckpt{
+        key, ensureCheckpoints(cfg, programs, plan, ckptDir, key)};
+    bool restored = false;
+    SimResult result = restoreOrWalk(exec, programs, ckpt, restored);
+    if (!restored)
+        replaceCheckpoint(key, ckpt.blob, ckptDir);
 
     result.sampled.enabled = true;
     result.sampled.merged = false;

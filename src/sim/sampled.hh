@@ -17,10 +17,12 @@
  *      kept in a process-wide registry and, when a checkpoint directory
  *      is given (derived from the result-cache directory), persisted so
  *      farm workers and later invocations skip the walk entirely.
- *   3. Each sample restores its checkpoint (falling back to a fresh
- *      walk — bit-identical by construction — if the blob is missing or
- *      refused), runs `sampleWarmupCycles` of detailed warmup, then
- *      measures `sampleMeasureCycles`.
+ *   3. Each sample restores its checkpoint through `restoreOrWalk`
+ *      (falling back to a fresh walk — bit-identical by construction —
+ *      if the blob is missing or refused; the walk's blob then replaces
+ *      the refused one in the registry and the directory), runs
+ *      `sampleWarmupCycles` of detailed warmup, then measures
+ *      `sampleMeasureCycles`.
  *   4. Extrapolation: every counter is converted to a per-cycle rate,
  *      averaged across samples weighted by cluster population, and
  *      scaled back to the configured full measured window. The weighted

@@ -680,6 +680,15 @@ verifyCommand(const std::vector<std::string> &args)
     return exit_code;
 }
 
+/** How many exact cells of a campaign walked or restored their prewarm. */
+void
+printPrewarmLine(const sim::CampaignOutcome &outcome)
+{
+    std::printf("prewarm: %llu walks, %llu restores\n",
+                static_cast<unsigned long long>(outcome.prewarmWalks),
+                static_cast<unsigned long long>(outcome.prewarmRestores));
+}
+
 /**
  * `ratsim sweep` (in-process worker threads) and `ratsim farm`
  * (sharded worker processes): the same declarative campaign grid; a
@@ -878,6 +887,7 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
                         farm.inProcessFallback
                             ? ", in-process fallback"
                             : "");
+        printPrewarmLine(outcome);
         for (const std::string &key : farm.quarantinedCells)
             warn("farm: quarantined cell %s", key.c_str());
         if (!farm.completed) {
@@ -896,6 +906,7 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
                     static_cast<unsigned long long>(outcome.cacheHits),
                     static_cast<unsigned long long>(
                         outcome.failedStores));
+        printPrewarmLine(outcome);
     }
     // Sampled campaigns schedule one cell per representative sample;
     // reporting collapses them back into one extrapolated row per

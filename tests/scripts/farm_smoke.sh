@@ -2,7 +2,9 @@
 # Farm smoke test: a >=100-cell campaign run through `ratsim farm` must
 # survive a mid-campaign kill -9 of a worker, resume from the shared
 # on-disk cache simulating only the missing cells, and produce JSON and
-# CSV reports byte-identical to a single-process `ratsim sweep`.
+# CSV reports byte-identical to a single-process `ratsim sweep`. Both
+# must share prewarm walks: the sweep walks once per prewarm identity,
+# and the resumed farm walks fewer times than it simulates cells.
 #
 # Usage: farm_smoke.sh /path/to/ratsim
 set -u
@@ -19,11 +21,16 @@ GRID=(--policies ICOUNT,RaT --workloads "art,mcf;swim,twolf"
       --seeds "$SEEDS" --measure 400 --warmup 100 --prewarm 2000)
 
 echo "== reference sweep (single process) =="
-"$RATSIM" sweep "${GRID[@]}" \
+"$RATSIM" sweep "${GRID[@]}" --jobs 4 \
     --json "$WORK/ref.json" --csv "$WORK/ref.csv" \
     > "$WORK/sweep.log" 2>&1 || fail "reference sweep failed"
 grep -q "sweep: 104 cells" "$WORK/sweep.log" \
     || fail "expected a 104-cell grid, got: $(cat "$WORK/sweep.log")"
+# The policy is not part of the prewarm identity: 2 workloads x 26
+# seeds = 52 identities, each walked once and restored by its other
+# policy's cell.
+grep -q "prewarm: 52 walks, 52 restores" "$WORK/sweep.log" \
+    || fail "sweep did not share prewarm walks: $(cat "$WORK/sweep.log")"
 
 echo "== farm run 1: sole worker killed after 30 cells =="
 # --no-respawn: this leg's premise is the abort-then-resume path; with
@@ -48,6 +55,12 @@ echo "== farm run 2: resume on 3 workers =="
 grep -q "farm: 104 cells (74 simulated, 30 from cache, 0 failed stores)" \
     "$WORK/farm2.log" \
     || fail "resume accounting wrong: $(cat "$WORK/farm2.log")"
+# Workers keep the prewarm checkpoint of the identity they last walked.
+WALKS=$(sed -n 's/^prewarm: \([0-9]*\) walks, [0-9]* restores$/\1/p' \
+    "$WORK/farm2.log")
+[ -n "$WALKS" ] || fail "no prewarm line: $(cat "$WORK/farm2.log")"
+[ "$WALKS" -lt 74 ] \
+    || fail "resumed farm walked $WALKS times for 74 cells"
 
 echo "== byte-identity against the reference sweep =="
 cmp "$WORK/farm.json" "$WORK/ref.json" || fail "JSON reports differ"

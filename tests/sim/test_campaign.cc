@@ -2,18 +2,22 @@
  * @file
  * Campaign engine tests: grid expansion, on-disk result-cache
  * memoization (a warm re-run simulates nothing and returns
- * bit-identical results), parallel-vs-serial equivalence, and
- * key-collision safety.
+ * bit-identical results), parallel-vs-serial equivalence,
+ * key-collision safety, and prewarm sharing (cells of one prewarm
+ * identity walk once per job and restore the rest, bit-identically).
  */
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "policy/factory.hh"
 #include "report/result_cache.hh"
 #include "report/serialize.hh"
 #include "sim/campaign.hh"
+#include "sim/checkpoint.hh"
 
 namespace rat::sim {
 namespace {
@@ -248,6 +252,113 @@ TEST(Campaign, DuplicateCellsSimulateOnce)
     EXPECT_EQ(outcome.simulated, 1u);
     EXPECT_EQ(report::toJson(outcome.cells[0].result).dump(),
               report::toJson(outcome.cells[1].result).dump());
+}
+
+/** All nine scheduling policies as campaign techniques. */
+std::vector<TechniqueSpec>
+allPolicies()
+{
+    std::vector<TechniqueSpec> techniques;
+    for (const std::string &name : policy::policyKindNames())
+        techniques.push_back(
+            {name, *policy::parsePolicyKind(name), core::RatConfig{}});
+    return techniques;
+}
+
+std::string
+standaloneJson(const CampaignCell &cell)
+{
+    Simulator sim(cell.config, cell.programs);
+    return report::toJson(sim.run()).dump();
+}
+
+TEST(Campaign, CellsOfOnePrewarmIdentityWalkOnceAndMatchStandaloneRuns)
+{
+    CampaignSpec spec;
+    spec.base = tinyConfig();
+    spec.techniques = allPolicies();
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
+                      Workload::fromPrograms({"swim", "gzip"})};
+    spec.parallelism = 1;
+
+    testing::internal::CaptureStderr();
+    const CampaignOutcome outcome = runCampaign(spec);
+    const std::string log = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(outcome.cells.size(), 18u);
+    EXPECT_EQ(outcome.simulated, 18u);
+    EXPECT_EQ(outcome.prewarmWalks, 2u);
+    EXPECT_EQ(outcome.prewarmRestores, 16u);
+    EXPECT_EQ(log.find("checkpoint restore failed"), std::string::npos)
+        << log;
+    for (const CampaignCell &cell : outcome.cells) {
+        SCOPED_TRACE(cell.technique + " on " + cell.workload);
+        EXPECT_EQ(report::toJson(cell.result).dump(),
+                  standaloneJson(cell));
+    }
+}
+
+TEST(Campaign, OneIdentitySplitsOverTheWorkersAndWalksOncePerJob)
+{
+    CampaignSpec spec;
+    spec.base = tinyConfig();
+    spec.techniques = allPolicies();
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
+    spec.parallelism = 4;
+
+    const CampaignPlan plan = planCampaign(spec, report::ResultCache(""));
+    const auto jobs = campaignJobs(plan, spec.parallelism);
+    EXPECT_GE(jobs.size(), 4u);
+    std::size_t cells = 0;
+    for (const auto &job : jobs) {
+        EXPECT_FALSE(job.empty());
+        cells += job.size();
+    }
+    EXPECT_EQ(cells, 9u);
+
+    const CampaignOutcome outcome = runCampaign(spec);
+    EXPECT_LE(outcome.prewarmWalks, 4u);
+    EXPECT_EQ(outcome.prewarmWalks + outcome.prewarmRestores, 9u);
+
+    // With more identities than workers, each identity is one job.
+    spec.seedAxis = {1, 2, 3, 4, 5};
+    const CampaignPlan wide = planCampaign(spec, report::ResultCache(""));
+    EXPECT_EQ(campaignJobs(wide, spec.parallelism).size(), 5u);
+}
+
+TEST(Campaign, DistinctRegisterFilesAreDistinctIdentitiesNeverCrossRestored)
+{
+    // The restore-time digest covers the register-file free counts, so
+    // a regs axis splits the prewarm identity.
+    CampaignSpec spec;
+    spec.base = tinyConfig();
+    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
+    spec.regsAxis = {128, 320};
+    spec.parallelism = 1;
+
+    const CampaignPlan plan = planCampaign(spec, report::ResultCache(""));
+    std::set<std::uint64_t> identities;
+    for (const CampaignCell &cell : plan.outcome.cells)
+        identities.insert(prewarmIdentity(cell.config, cell.programs));
+    EXPECT_EQ(identities.size(), 2u);
+    // Identity-ordered leads: each identity's cells are adjacent.
+    ASSERT_EQ(plan.leads.size(), 6u);
+    EXPECT_NE(plan.outcome.cells[plan.leads[0]].regs,
+              plan.outcome.cells[plan.leads[3]].regs);
+    for (std::size_t i = 0; i < plan.leads.size(); ++i)
+        EXPECT_EQ(plan.outcome.cells[plan.leads[i]].regs,
+                  plan.outcome.cells[plan.leads[i < 3 ? 0 : 3]].regs);
+
+    testing::internal::CaptureStderr();
+    const CampaignOutcome outcome = runCampaign(spec);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(outcome.prewarmWalks, 2u);
+    EXPECT_EQ(outcome.prewarmRestores, 4u);
+    EXPECT_EQ(log.find("checkpoint restore failed"), std::string::npos)
+        << log;
+    for (const CampaignCell &cell : outcome.cells)
+        EXPECT_EQ(report::toJson(cell.result).dump(),
+                  standaloneJson(cell));
 }
 
 TEST(ResultCache, CollisionAndCorruptionDegradeToMiss)

@@ -6,7 +6,8 @@
  * and the runahead variants;
  * corrupted blobs must be refused; the file key must share checkpoints
  * across the knobs the functional walk ignores and split them on the
- * knobs it depends on.
+ * knobs it depends on; restoreOrWalk must restore a blob only into its
+ * own prewarm identity.
  */
 
 #include <string>
@@ -206,6 +207,47 @@ TEST(Checkpoint, IncrementalWalkEncodesIdentically)
     stepped.smtCore().prewarm(5000);
     EXPECT_EQ(CheckpointCodec::encode(oneShot),
               CheckpointCodec::encode(stepped));
+}
+
+TEST(Checkpoint, RestoreOrWalkRestoresOnlyItsOwnIdentity)
+{
+    const SimConfig cfg = ckptConfig();
+    const auto standalone = [](const SimConfig &c) {
+        Simulator sim(c, kMix);
+        return report::toJson(sim.run()).dump();
+    };
+
+    // Nothing to restore: the run walks and keeps its state.
+    PrewarmCheckpoint ckpt;
+    bool restored = true;
+    EXPECT_EQ(report::toJson(restoreOrWalk(cfg, kMix, ckpt, restored))
+                  .dump(),
+              standalone(cfg));
+    EXPECT_FALSE(restored);
+    EXPECT_EQ(ckpt.identity, prewarmIdentity(cfg, kMix));
+    const std::string walked = ckpt.blob;
+
+    // Same identity under another policy: restored, same bytes.
+    SimConfig flush = cfg;
+    flush.core.policy = core::PolicyKind::Flush;
+    EXPECT_EQ(report::toJson(restoreOrWalk(flush, kMix, ckpt, restored))
+                  .dump(),
+              standalone(flush));
+    EXPECT_TRUE(restored);
+
+    // Another seed has the same geometry, so the digest accepts the
+    // blob; only the identity keeps it out of the run.
+    SimConfig other = cfg;
+    other.seed = 2;
+    SimConfig noWalk = other;
+    noWalk.prewarmInsts = 0;
+    Simulator wrong(noWalk, kMix);
+    EXPECT_TRUE(CheckpointCodec::restore(wrong, walked));
+    EXPECT_EQ(report::toJson(restoreOrWalk(other, kMix, ckpt, restored))
+                  .dump(),
+              standalone(other));
+    EXPECT_FALSE(restored);
+    EXPECT_EQ(ckpt.identity, prewarmIdentity(other, kMix));
 }
 
 } // namespace

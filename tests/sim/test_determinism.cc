@@ -17,6 +17,11 @@
  * event-driven scheduler while a test still asserted it byte-identical
  * to the broadcast reference on exactly these runs.
  *
+ * The nine art,gzip policies share one prewarm identity, so they also
+ * run as one campaign (serial and on four workers): all but the first
+ * cell of each job restore the post-prewarm checkpoint instead of
+ * walking, and every cell must still match its golden byte for byte.
+ *
  * Re-capture (only for an *intentional* semantic change; explain it in
  * the same commit):
  *   RATSIM_CAPTURE_GOLDEN_DIR=tests/data/golden_mix2 \
@@ -33,6 +38,7 @@
 
 #include "policy/factory.hh"
 #include "report/serialize.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/workloads.hh"
 
@@ -93,17 +99,28 @@ goldenCases()
     return cases;
 }
 
-std::string
-runJson(const GoldenCase &golden)
+TechniqueSpec
+techniqueOf(const GoldenCase &golden)
 {
-    ExperimentRunner runner(determinismConfig());
     TechniqueSpec tech;
     tech.label = policy::policyKindName(golden.policy);
     tech.policy = golden.policy;
     tech.rat.useRunaheadCache = golden.runaheadCache;
-    const SimResult r =
-        runner.runWorkload(Workload::fromPrograms(golden.programs), tech);
+    return tech;
+}
+
+std::string
+resultJson(const SimResult &r)
+{
     return report::toJson(r).dump(2) + "\n";
+}
+
+std::string
+runJson(const GoldenCase &golden)
+{
+    ExperimentRunner runner(determinismConfig());
+    return resultJson(runner.runWorkload(
+        Workload::fromPrograms(golden.programs), techniqueOf(golden)));
 }
 
 std::string
@@ -141,6 +158,38 @@ TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
         const std::string expected = slurp(path);
         ASSERT_FALSE(expected.empty()) << "missing golden " << path;
         EXPECT_EQ(first, expected) << "drift against " << path;
+    }
+    if (capture)
+        return;
+
+    // Campaign pass: the nine art,gzip policies as one runCampaign,
+    // through the shared-prewarm path.
+    std::vector<GoldenCase> mix2;
+    CampaignSpec spec;
+    spec.base = determinismConfig();
+    spec.workloads = {Workload::fromPrograms({"art", "gzip"})};
+    for (const GoldenCase &golden : goldenCases()) {
+        if (golden.programs == spec.workloads.front().programs) {
+            mix2.push_back(golden);
+            spec.techniques.push_back(techniqueOf(golden));
+        }
+    }
+    ASSERT_EQ(mix2.size(), kAllPolicies.size());
+    for (const unsigned parallelism : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "parallelism " << parallelism);
+        spec.parallelism = parallelism;
+        const CampaignOutcome outcome = runCampaign(spec);
+        ASSERT_EQ(outcome.cells.size(), mix2.size());
+        // One identity: one walk per job, and one job per worker.
+        EXPECT_EQ(outcome.prewarmWalks, parallelism);
+        EXPECT_EQ(outcome.prewarmRestores, mix2.size() - parallelism);
+        for (std::size_t i = 0; i < mix2.size(); ++i) {
+            const std::string path =
+                std::string(RATSIM_TEST_DATA_DIR "/golden_mix2/") +
+                mix2[i].file;
+            EXPECT_EQ(resultJson(outcome.cells[i].result), slurp(path))
+                << "campaign cell drifts against " << path;
+        }
     }
 }
 

@@ -233,6 +233,30 @@ TEST(Farm, DuplicateCellsSimulateOnceAcrossProcesses)
               report::toJson(farm.campaign.cells[1].result).dump());
 }
 
+TEST(Farm, WorkersReuseOnePrewarmWalkPerIdentity)
+{
+    // Three policies per prewarm identity, two shards of
+    // identity-ordered leads: a worker walks the first cell of an
+    // identity and restores the next ones it is handed.
+    TempCacheDir cache("farm_prewarm");
+    CampaignSpec spec = smallSpec(cache.path.string());
+    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    const FarmOutcome farm = runFarm(spec, farmOptions(2, 2));
+    ASSERT_TRUE(farm.completed) << farm.error;
+    EXPECT_EQ(farm.campaign.simulated, 9u);
+    EXPECT_EQ(farm.campaign.prewarmWalks + farm.campaign.prewarmRestores,
+              9u);
+    EXPECT_LT(farm.campaign.prewarmWalks, farm.campaign.simulated);
+
+    CampaignSpec uncached = spec;
+    uncached.cacheDir.clear();
+    const CampaignOutcome sweep = runCampaign(uncached);
+    EXPECT_EQ(reportJson(farm.campaign, spec),
+              reportJson(sweep, uncached));
+    EXPECT_EQ(campaignCsv(farm.campaign).dump(),
+              campaignCsv(sweep).dump());
+}
+
 TEST(Farm, FailedStoresAreCountedNotHidden)
 {
     // Cache dir under a regular file: workers simulate fine but every

@@ -4,12 +4,17 @@
  * single-phase configuration is bit-exact, per-sample cells merge to
  * the whole-run extrapolation (the campaign/farm path), sampled
  * configurations and results serialize behind the `sampled` gate with
- * distinct cache keys, and the pinned operating point meets the
- * accuracy / detailed-work-reduction contract.
+ * distinct cache keys, the pinned operating point meets the
+ * accuracy / detailed-work-reduction contract, and a refused checkpoint
+ * is walked past once and replaced.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,7 @@
 
 #include "core/config.hh"
 #include "report/serialize.hh"
+#include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
 #include "sim/sampled.hh"
 #include "sim/simulator.hh"
@@ -242,6 +248,68 @@ TEST(Sampled, ResultSerializationRoundTrips)
     const SimResult full = sim.run();
     EXPECT_EQ(report::toJson(full).dump().find("\"sampled\""),
               std::string::npos);
+}
+
+std::size_t
+countOf(const std::string &haystack, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(Sampled, RefusedCheckpointIsWalkedPastOnceAndReplaced)
+{
+    // A checkpoint file the codec refuses (written by a build with
+    // another state layout, or torn by a concurrent writer) must cost
+    // one warning and one walk, then be replaced in the process-wide
+    // registry and on disk. The seed gives this test an identity no
+    // other test in the process has put into the registry.
+    SimConfig cfg = baseConfig();
+    cfg.seed = 97;
+    cfg.sampled = true;
+    cfg.samplePhases = 2;
+    cfg.phaseSpanWindows = 8;
+    cfg.phaseWindow = 1024;
+    cfg.sampleWarmupCycles = 500;
+    cfg.sampleMeasureCycles = 1500;
+
+    const trace::PhaseProfile &plan = samplePlanFor(cfg, kMix);
+    ASSERT_FALSE(plan.samples.empty());
+    const InstSeq position =
+        cfg.prewarmInsts +
+        InstSeq{plan.samples.front().windowIndex} * cfg.phaseWindow;
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.ratck2",
+                  static_cast<unsigned long long>(
+                      CheckpointCodec::fileKey(cfg, kMix, position)));
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "sampled_refused_ckpt";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path file = dir / name;
+    std::ofstream(file, std::ios::binary) << "ratck2 torn checkpoint";
+
+    testing::internal::CaptureStderr();
+    const SimResult planted = simulateCell(cfg, kMix, dir.string());
+    const SimResult plain = simulateCell(cfg, kMix);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(countOf(log, "checkpoint restore failed"), 1u) << log;
+    EXPECT_EQ(report::toJson(planted).dump(), report::toJson(plain).dump());
+
+    // The file now holds the walked state, and it restores.
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream blob;
+    blob << in.rdbuf();
+    SimConfig exec = cfg;
+    exec.sampled = false;
+    exec.prewarmInsts = 0;
+    Simulator sim(exec, kMix);
+    std::string error;
+    EXPECT_TRUE(CheckpointCodec::restore(sim, blob.str(), &error)) << error;
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
