@@ -15,7 +15,9 @@
  * Two more inputs at the same windows, FLUSH_mix4.json and
  * RaT_racache.json (see goldenCases), were captured from the
  * event-driven scheduler while a test still asserted it byte-identical
- * to the broadcast reference on exactly these runs.
+ * to the broadcast reference on exactly these runs. RaT_digest.json
+ * pins the state digest itself: RaT on art,gzip with a digest sample
+ * every 500 cycles, so a reordered or dropped digest field fails here.
  *
  * The nine art,gzip policies share one prewarm identity, so they also
  * run as one campaign (serial and on four workers): all but the first
@@ -54,24 +56,26 @@ const std::vector<core::PolicyKind> kAllPolicies = {
     core::PolicyKind::MlpAware,
 };
 
-/** Short windows keep two runs of every case affordable in CI. */
-SimConfig
-determinismConfig()
-{
-    SimConfig cfg;
-    cfg.prewarmInsts = 100000;
-    cfg.warmupCycles = 5000;
-    cfg.measureCycles = 10000;
-    return cfg;
-}
-
 /** One pinned run and the capture it must reproduce. */
 struct GoldenCase {
     std::string file; ///< under tests/data/golden_mix2/
     std::vector<std::string> programs;
     core::PolicyKind policy;
     bool runaheadCache = false;
+    Cycle digestWindow = 0; ///< 0 = no digest stream
 };
+
+/** Short windows keep two runs of every case affordable in CI. */
+SimConfig
+determinismConfig(Cycle digest_window = 0)
+{
+    SimConfig cfg;
+    cfg.prewarmInsts = 100000;
+    cfg.warmupCycles = 5000;
+    cfg.measureCycles = 10000;
+    cfg.digestWindow = digest_window;
+    return cfg;
+}
 
 /**
  * The nine policies on MIX2, plus two runs they do not reach: FLUSH on
@@ -79,6 +83,7 @@ struct GoldenCase {
  * miss, so every squash must unlink the scheduler's intrusive lists)
  * and RaT with the runahead cache on (off by default; INV propagates
  * through registers, store-dependent chains and pseudo-retired stores).
+ * Last, RaT on MIX2 with its state-digest stream.
  */
 std::vector<GoldenCase>
 goldenCases()
@@ -96,6 +101,8 @@ goldenCases()
                      core::PolicyKind::Flush});
     cases.push_back(
         {"RaT_racache.json", {"art", "mcf"}, core::PolicyKind::Rat, true});
+    cases.push_back({"RaT_digest.json", {"art", "gzip"},
+                     core::PolicyKind::Rat, false, 500});
     return cases;
 }
 
@@ -118,7 +125,7 @@ resultJson(const SimResult &r)
 std::string
 runJson(const GoldenCase &golden)
 {
-    ExperimentRunner runner(determinismConfig());
+    ExperimentRunner runner(determinismConfig(golden.digestWindow));
     return resultJson(runner.runWorkload(
         Workload::fromPrograms(golden.programs), techniqueOf(golden)));
 }
@@ -163,13 +170,15 @@ TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
         return;
 
     // Campaign pass: the nine art,gzip policies as one runCampaign,
-    // through the shared-prewarm path.
+    // through the shared-prewarm path (the digest case needs another
+    // base config).
     std::vector<GoldenCase> mix2;
     CampaignSpec spec;
     spec.base = determinismConfig();
     spec.workloads = {Workload::fromPrograms({"art", "gzip"})};
     for (const GoldenCase &golden : goldenCases()) {
-        if (golden.programs == spec.workloads.front().programs) {
+        if (golden.programs == spec.workloads.front().programs &&
+            !golden.digestWindow) {
             mix2.push_back(golden);
             spec.techniques.push_back(techniqueOf(golden));
         }
