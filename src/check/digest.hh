@@ -7,13 +7,13 @@
  *
  * The enumeration is *mode-invariant by construction*: it visits only
  * state that is bit-identical across the host-side implementation grid
- * (cycle-skip on/off, episode-checkpoint save/restore) at matched
+ * (cycle-skip on/off, prewarm restored from a checkpoint) at matched
  * window boundaries. That means no host-clock values (a skipped span
  * samples with the clock still at the span start), no physical-register
  * *numbers* (which free register an allocation gets is an
  * implementation detail, not behaviour; the maps are digested by entry
- * kind and producer readiness instead, and `ratck2` checkpoints embed
- * this digest, so the enumeration stays fixed), no per-cycle integrals
+ * kind and producer readiness instead, and checkpoints embed this
+ * digest, so the enumeration stays fixed), no per-cycle integrals
  * (skipTo integrates them span-at-once), and no issue-queue slot
  * indices. Two runs of the same configuration in any mode must
  * therefore produce byte-identical digest streams — and `ratsim

@@ -15,7 +15,6 @@ namespace {
 struct LegSpec {
     const char *name;
     bool cycleSkip;
-    Cycle checkpointEvery; ///< save/restore leg only
     /** Restore the prewarm from a walk under another policy. */
     bool prewarmRestore = false;
 };
@@ -52,7 +51,6 @@ runLeg(const VerifyOptions &options, runahead::RaVariant variant,
     cfg.core.rat.variant = variant;
     cfg.core.cycleSkipping = leg.cycleSkip;
     cfg.digestWindow = digest_window;
-    cfg.engineCheckpointEvery = leg.checkpointEvery;
     cfg.mutateAtCycle = mutate_at;
     cfg.captureStateAtCycle = capture_at;
     if (!leg.prewarmRestore) {
@@ -144,11 +142,10 @@ runVerify(const VerifyOptions &options)
 {
     // The reference leg is the production default: cycle skipping on.
     // Every other leg must match it.
-    const LegSpec reference{"skip+event", true, 0};
+    const LegSpec reference{"skip+event", true};
     const LegSpec grid[] = {
-        {"noskip+event", false, 0},
-        {"save-restore", true, options.checkpointEvery},
-        {"prewarm-restore", true, 0, true},
+        {"noskip+event", false},
+        {"prewarm-restore", true, true},
     };
 
     std::vector<runahead::RaVariant> variants;
@@ -184,7 +181,7 @@ runVerify(const VerifyOptions &options)
         // The fault-injection leg runs only for the first variant: it
         // audits the digest's sensitivity, not the variant grid.
         if (options.mutateAt && variant == variants.front()) {
-            const LegSpec mutated{"mutated", true, 0};
+            const LegSpec mutated{"mutated", true};
             inform("verify: variant %s: seeded-mutation leg "
                    "(mutate-at %llu)",
                    vname,

@@ -331,16 +331,10 @@ SmtCore::prewarm(InstSeq insts)
 void
 SmtCore::tick()
 {
-    // Verify-mode hooks (both disarmed in normal runs): the fault
-    // injection fires at the first tick at or after its cycle, and the
-    // save/restore leg round-trips the engine's episode checkpoint.
+    // Verify-mode hook (disarmed in normal runs): the fault injection
+    // fires at the first tick at or after its cycle.
     if (mutateAt_ != kNoCycle && cycle_ >= mutateAt_)
         applyMutation();
-    if (ckptEvery_ && cycle_ % ckptEvery_ == 0) {
-        const bool ok =
-            raEngine_.decodeEpisodes(raEngine_.encodeEpisodes());
-        RAT_ASSERT(ok, "episode checkpoint blob failed to decode");
-    }
 
     tickActivity_ = false;
     policy_.beginCycle(*this);

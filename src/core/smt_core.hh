@@ -250,15 +250,6 @@ class SmtCore
     void armMutationAt(Cycle at) { mutateAt_ = at; }
 
     /**
-     * Verify-mode save/restore leg: every @p n cycles, round-trip the
-     * runahead engine's episode state through encode/decodeEpisodes().
-     * A lossless codec makes this a perfect no-op (digest streams stay
-     * identical to an untouched run); any dropped state shows up as a
-     * bisected divergence. 0 disables.
-     */
-    void setEngineCheckpointInterval(Cycle n) { ckptEvery_ = n; }
-
-    /**
      * Print a one-line diagnostic description of a thread's ROB head to
      * stderr (debugging aid; stable API for tooling and tests).
      */
@@ -548,11 +539,10 @@ class SmtCore
     obs::WindowSampler *sampler_ = nullptr;
 
     // Self-checking (src/check/). The collector pointer is driven at
-    // sampler boundaries; mutateAt_/ckptEvery_ are verify-mode hooks
-    // (kNoCycle / 0 = disarmed, each one predictable branch per tick).
+    // sampler boundaries; mutateAt_ is a verify-mode hook (kNoCycle =
+    // disarmed, one predictable branch per tick).
     check::DigestCollector *digests_ = nullptr;
     Cycle mutateAt_ = kNoCycle;
-    Cycle ckptEvery_ = 0;
     /** Episode-entry records for runahead span events + histograms. */
     struct EpisodeTraceEntry {
         Cycle enteredAt = 0;

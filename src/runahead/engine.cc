@@ -1,9 +1,5 @@
 #include "runahead/engine.hh"
 
-#include <algorithm>
-#include <sstream>
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace rat::runahead {
@@ -122,61 +118,6 @@ RunaheadEngine::episodeView(ThreadId tid) const
     for (InstSeq seq : t.suppressedLoads)
         v.suppressedHash += mixSeq(seq);
     return v;
-}
-
-std::string
-RunaheadEngine::encodeEpisodes() const
-{
-    std::ostringstream out;
-    out << "ratck1 " << threads_.size() << "\n";
-    for (const ThreadEpisode &t : threads_) {
-        out << (t.active ? 1 : 0) << ' ' << (t.drainOnly ? 1 : 0) << ' '
-            << (t.pendingDrain ? 1 : 0) << ' ' << t.exitAt << ' '
-            << t.fillAt << ' ' << t.resumeSeq << ' ' << t.entryPc << ' '
-            << t.histCheckpoint << ' ' << t.prefetchSnapshot << ' '
-            << t.lastVetoSeq << ' ' << t.suppressedLoads.size();
-        std::vector<InstSeq> sorted(t.suppressedLoads.begin(),
-                                    t.suppressedLoads.end());
-        std::sort(sorted.begin(), sorted.end());
-        for (InstSeq seq : sorted)
-            out << ' ' << seq;
-        out << "\n";
-    }
-    return out.str();
-}
-
-bool
-RunaheadEngine::decodeEpisodes(const std::string &blob)
-{
-    std::istringstream in(blob);
-    std::string magic;
-    std::size_t count = 0;
-    if (!(in >> magic >> count) || magic != "ratck1" ||
-        count != threads_.size())
-        return false;
-
-    std::array<ThreadEpisode, kMaxThreads> restored{};
-    for (ThreadEpisode &t : restored) {
-        int active = 0;
-        int drain_only = 0;
-        int pending_drain = 0;
-        std::size_t suppressed = 0;
-        if (!(in >> active >> drain_only >> pending_drain >> t.exitAt >>
-              t.fillAt >> t.resumeSeq >> t.entryPc >> t.histCheckpoint >>
-              t.prefetchSnapshot >> t.lastVetoSeq >> suppressed))
-            return false;
-        t.active = active != 0;
-        t.drainOnly = drain_only != 0;
-        t.pendingDrain = pending_drain != 0;
-        for (std::size_t i = 0; i < suppressed; ++i) {
-            InstSeq seq = 0;
-            if (!(in >> seq))
-                return false;
-            t.suppressedLoads.insert(seq);
-        }
-    }
-    threads_ = std::move(restored);
-    return true;
 }
 
 const char *

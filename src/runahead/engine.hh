@@ -32,7 +32,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 
 #include "common/types.hh"
@@ -193,20 +192,31 @@ class RunaheadEngine
     EpisodeView episodeView(ThreadId tid) const;
 
     /**
-     * Serialize every thread's episode state into a deterministic text
-     * blob (the suppression sets are emitted sorted). Together with
-     * decodeEpisodes() this is the engine half of ROADMAP item 1's
-     * checkpoint/restore: `ratsim verify`'s save/restore leg round-trips
-     * the blob mid-run and proves via digest identity that nothing was
-     * lost.
+     * The checkpoint codec's visit (sim/checkpoint.hh): every thread's
+     * episode fields, then its suppression set. The IO encodes the set
+     * sorted, so equal engines encode to equal bytes, and on decode
+     * refuses a count the remaining bytes cannot hold before it
+     * allocates anything.
      */
-    std::string encodeEpisodes() const;
-
-    /**
-     * Restore episode state from an encodeEpisodes() blob. Returns
-     * false (leaving the engine untouched) on a malformed blob.
-     */
-    bool decodeEpisodes(const std::string &blob);
+    template <typename IO>
+    void
+    ckptVisit(IO &io)
+    {
+        io.size(threads_.size());
+        for (ThreadEpisode &t : threads_) {
+            io.scalar(t.active);
+            io.scalar(t.drainOnly);
+            io.scalar(t.pendingDrain);
+            io.scalar(t.exitAt);
+            io.scalar(t.fillAt);
+            io.scalar(t.resumeSeq);
+            io.scalar(t.entryPc);
+            io.scalar(t.histCheckpoint);
+            io.scalar(t.prefetchSnapshot);
+            io.scalar(t.lastVetoSeq);
+            io.sortedSet(t.suppressedLoads);
+        }
+    }
 
     const EngineStats &stats() const { return stats_; }
     /** Reset engine counters (episode state is preserved). */

@@ -1,14 +1,17 @@
 /**
  * @file
- * "ratck2" checkpoint codec implementation. See checkpoint.hh for the
- * format and the drift-proofing contract.
+ * Checkpoint codec implementation. See checkpoint.hh for the format
+ * and the drift-proofing contract.
  */
 
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cstddef>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "check/digest.hh"
 #include "check/fnv.hh"
@@ -20,8 +23,7 @@
 namespace rat::sim {
 namespace {
 
-constexpr char kMagic[] = "ratck2";
-constexpr std::size_t kMagicLen = 6;
+constexpr std::size_t kMagicLen = sizeof(CheckpointCodec::kMagic) - 1;
 
 /**
  * Encode-side IO: appends every visited value as 8 little-endian bytes
@@ -55,11 +57,16 @@ struct CkptWriter {
         }
     }
 
+    /** Count, then elements in ascending order: equal sets, equal bytes. */
+    template <typename T>
     void
-    blob(const std::string &s)
+    sortedSet(std::unordered_set<T> &set)
     {
-        raw64(s.size());
-        out.append(s);
+        std::vector<T> sorted(set.begin(), set.end());
+        std::sort(sorted.begin(), sorted.end());
+        raw64(sorted.size());
+        for (T &v : sorted)
+            scalar(v);
     }
 
     void fail() { ok = false; }
@@ -113,18 +120,27 @@ struct CkptReader {
         }
     }
 
+    /**
+     * Every element takes 8 bytes, so a count the rest of the blob
+     * cannot hold is refused before anything is allocated for it.
+     */
+    template <typename T>
     void
-    blob(std::string &s)
+    sortedSet(std::unordered_set<T> &set)
     {
         std::uint64_t n;
         if (!raw64(n))
             return;
-        if (pos + n > in.size()) {
+        if (n > (in.size() - pos) / 8) {
             ok = false;
             return;
         }
-        s.assign(in, pos, static_cast<std::size_t>(n));
-        pos += static_cast<std::size_t>(n);
+        set.clear();
+        for (; n > 0; --n) {
+            T v{};
+            scalar(v);
+            set.insert(v);
+        }
     }
 
     void fail() { ok = false; }
@@ -148,6 +164,7 @@ CheckpointCodec::visit(IO &io, core::SmtCore &core, mem::MemoryHierarchy &mem)
     mem.l1i().ckptVisit(io);
     mem.l1d().ckptVisit(io);
     mem.l2().ckptVisit(io);
+    core.raEngine_.ckptVisit(io);
 }
 
 namespace {
@@ -185,7 +202,6 @@ CheckpointCodec::encode(Simulator &sim)
     CkptWriter w;
     w.out.assign(kMagic, kMagicLen);
     visit(w, core, mem);
-    w.blob(core.raEngine_.encodeEpisodes());
     w.raw64(check::StateHasher::digest(core));
     if (!w.ok)
         return {};
@@ -202,21 +218,17 @@ CheckpointCodec::restore(Simulator &sim, const std::string &blob,
         return false;
     };
     if (blob.size() < kMagicLen || blob.compare(0, kMagicLen, kMagic) != 0)
-        return fail("not a ratck2 checkpoint");
+        return fail("not a checkpoint of this format");
 
     core::SmtCore &core = sim.smtCore();
     CkptReader r{blob, kMagicLen};
     visit(r, core, sim.memory());
-    std::string episodes;
-    r.blob(episodes);
     std::uint64_t want = 0;
     r.raw64(want);
     if (!r.ok)
         return fail("truncated or geometry-mismatched checkpoint");
     if (r.pos != blob.size())
         return fail("trailing bytes after checkpoint");
-    if (!core.raEngine_.decodeEpisodes(episodes))
-        return fail("malformed episode blob");
 
     // The drift guard: the restored target must hash to exactly the
     // digest the source hashed to at encode time. Any state the digest
@@ -231,8 +243,13 @@ CheckpointCodec::fileKey(const SimConfig &cfg,
                          const std::vector<std::string> &programs,
                          InstSeq position)
 {
+    // The magic's bytes, big-endian, as the format discriminator: a
+    // blob of another layout is never looked up under this key.
+    std::uint64_t format = 0;
+    for (std::size_t i = 0; i < kMagicLen; ++i)
+        format = format << 8 | static_cast<unsigned char>(kMagic[i]);
     check::Fnv64 h;
-    h.u64(0x726174636B32ULL); // "ratck2" discriminator
+    h.u64(format);
     h.u64(position);
     h.u64(cfg.seed);
     h.u64(programs.size());

@@ -1,32 +1,32 @@
 /**
  * @file
- * Architectural checkpoint codec ("ratck2") for sampled simulation and
+ * Architectural checkpoint codec ("ratck3") for sampled simulation and
  * for campaign cells that share one prewarm walk (`restoreOrWalk`).
  *
  * A checkpoint captures the *functional post-prewarm* state of one
  * simulation: trace positions, branch predictor, BTB, return-address
- * stacks and all three cache levels, plus the runahead engine's episode
- * blob (the "ratck1" codec from the verify subsystem, nested whole).
- * It deliberately captures nothing of the timing pipeline — encoding is
- * only legal when the pipeline is provably empty (no in-flight
- * instructions, no outstanding fills, no runahead episodes), which is
- * exactly the state `SmtCore::prewarm` leaves behind. That restriction
- * is what lets one checkpoint be restored into simulators with
- * *different* policy / ROB configurations: the walk that builds it
- * never touches the structures those knobs size.
+ * stacks, all three cache levels and the runahead engine's per-thread
+ * episode state. It deliberately captures nothing of the timing
+ * pipeline — encoding is only legal when the pipeline is provably
+ * empty (no in-flight instructions, no outstanding fills, no runahead
+ * episodes), which is exactly the state `SmtCore::prewarm` leaves
+ * behind. That restriction is what lets one checkpoint be restored
+ * into simulators with *different* policy / ROB configurations: the
+ * walk that builds it never touches the structures those knobs size.
  *
- * Drift-proofing: every component's state is enumerated by one
- * `ckptVisit(IO&)` member template that drives both encode and decode,
- * and the blob embeds the digest subsystem's `StateHasher` hash of the
- * source core. `restore()` recomputes that hash on the restored target
- * and refuses on mismatch — so the checkpointed state and the digested
- * state cannot silently drift apart, and a failed restore falls back
- * to a (bit-identical) fresh functional walk instead of corrupting a
- * run.
+ * Drift-proofing: every component's state, the engine's included, is
+ * enumerated by one `ckptVisit(IO&)` member template that drives both
+ * encode and decode, and the blob embeds the digest subsystem's
+ * `StateHasher` hash of the source core. `restore()` recomputes that
+ * hash on the restored target and refuses on mismatch — so the
+ * checkpointed state and the digested state cannot silently drift
+ * apart, and a failed restore falls back to a (bit-identical) fresh
+ * functional walk instead of corrupting a run.
  *
  * Format (all integers u64 little-endian):
- *   "ratck2" magic | visit(core, mem) fields | engine episode blob
- *   (length-prefixed "ratck1" text) | StateHasher digest
+ *   "ratck3" magic | visit(core, mem, engine) fields | StateHasher digest
+ * The engine's suppressed-load sets are stored as a count followed by
+ * the elements in ascending order.
  */
 
 #ifndef RAT_SIM_CHECKPOINT_HH
@@ -59,6 +59,13 @@ class CheckpointCodec
 {
   public:
     /**
+     * Leading bytes of every blob. Bump it whenever the layout
+     * changes: it also names the format in fileKey() and in the
+     * extension of checkpoint files on disk.
+     */
+    static constexpr char kMagic[] = "ratck3";
+
+    /**
      * Serialize @p sim's functional state. Returns the empty string if
      * the pipeline is not empty (in-flight instructions, outstanding
      * fills or an active runahead episode) — checkpoints are only
@@ -81,9 +88,9 @@ class CheckpointCodec
      * position @p position: a hash over everything the functional walk
      * (and the restore-time digest) depends on — programs, seed,
      * thread count, predictor and memory geometry, register-file sizes
-     * and the position itself. Deliberately *excludes* the scheduling
-     * policy, runahead variant and ROB size, so one walk serves a
-     * whole policy sweep.
+     * the position itself and the format (kMagic). Deliberately
+     * *excludes* the scheduling policy, runahead variant and ROB size,
+     * so one walk serves a whole policy sweep.
      */
     static std::uint64_t fileKey(const SimConfig &cfg,
                                  const std::vector<std::string> &programs,
@@ -111,7 +118,7 @@ std::uint64_t prewarmIdentity(const SimConfig &cfg,
 /** A post-prewarm checkpoint and the prewarm identity it holds. */
 struct PrewarmCheckpoint {
     std::uint64_t identity = 0;
-    std::string blob; ///< "ratck2" bytes; empty = none
+    std::string blob; ///< checkpoint bytes; empty = none
 };
 
 /**

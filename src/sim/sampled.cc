@@ -102,8 +102,9 @@ std::string
 checkpointPath(const std::string &dir, std::uint64_t key)
 {
     char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.ratck2",
-                  static_cast<unsigned long long>(key));
+    std::snprintf(name, sizeof(name), "%016llx.%s",
+                  static_cast<unsigned long long>(key),
+                  CheckpointCodec::kMagic);
     return (std::filesystem::path(dir) / name).string();
 }
 
@@ -249,7 +250,6 @@ sampleExecConfig(const SimConfig &cfg, InstSeq position)
     exec.sampleWindow = 0;
     exec.digestWindow = 0;
     exec.mutateAtCycle = 0;
-    exec.engineCheckpointEvery = 0;
     exec.captureStateAtCycle = 0;
     exec.traceOut.clear();
     return exec;

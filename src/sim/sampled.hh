@@ -13,10 +13,12 @@
  *      techniques of a policy sweep share one profiling pass.
  *   2. For every representative window, the post-prewarm architectural
  *      state is materialized once by an incremental functional walk and
- *      captured with the "ratck2" codec (sim/checkpoint.hh). Blobs are
+ *      captured with the checkpoint codec (sim/checkpoint.hh). Blobs are
  *      kept in a process-wide registry and, when a checkpoint directory
  *      is given (derived from the result-cache directory), persisted so
- *      farm workers and later invocations skip the walk entirely.
+ *      farm workers and later invocations skip the walk entirely. The
+ *      files are named by file key, with the codec's magic as their
+ *      extension.
  *   3. Each sample restores its checkpoint through `restoreOrWalk`
  *      (falling back to a fresh walk — bit-identical by construction —
  *      if the blob is missing or refused; the walk's blob then replaces

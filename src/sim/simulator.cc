@@ -155,11 +155,9 @@ Simulator::run(PhaseTiming *timing)
             digests.setCaptureAt(config_.captureStateAtCycle);
         core_->setDigestCollector(&digests);
     }
-    // Verify-only hooks; both default off and cannot fire otherwise.
+    // Verify-only hook; off by default and cannot fire otherwise.
     if (config_.mutateAtCycle)
         core_->armMutationAt(core_->cycle() + config_.mutateAtCycle);
-    if (config_.engineCheckpointEvery)
-        core_->setEngineCheckpointInterval(config_.engineCheckpointEvery);
 
     t0 = Clock::now();
     const Cycle start = core_->cycle();

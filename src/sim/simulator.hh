@@ -105,12 +105,6 @@ struct SimConfig {
      */
     Cycle mutateAtCycle = 0;
     /**
-     * Save/restore leg: round-trip the runahead engine's episode
-     * checkpoints every N measured cycles (must be digest-invisible;
-     * see SmtCore::setEngineCheckpointInterval). 0 = off.
-     */
-    Cycle engineCheckpointEvery = 0;
-    /**
      * Capture a full state dump at this absolute digest boundary
      * (the verify bisector's final pass). 0 = off.
      */

@@ -11,9 +11,9 @@
  *                             worker processes with a shared cache;
  *                             crash-safe and resumable
  *   ratsim verify [options]   determinism audit: one config with cycle
- *                             skipping on and off + a save/restore leg,
- *                             per ra-variant; digest streams compared,
- *                             divergences bisected
+ *                             skipping on and off + a prewarm-restore
+ *                             leg, per ra-variant; digest streams
+ *                             compared, divergences bisected
  *
  * `ratsim --farm-worker` is the internal worker-process entry point
  * the farm coordinator fork/execs; it speaks length-prefixed JSON on
@@ -130,9 +130,6 @@ usage()
         "                            N cycles into the measured window;\n"
         "                            verify must detect and bisect it\n"
         "                            (exit 1 on detection, 2 if missed)\n"
-        "  --checkpoint-every N      save/restore leg: round-trip the\n"
-        "                            engine episode checkpoints every N\n"
-        "                            cycles (default 61)\n"
         "\n"
         "sweep options (comma-separated axes):\n"
         "  --policies A,B,...        techniques (default ICOUNT,RaT)\n"
@@ -596,7 +593,7 @@ runCommand(const std::vector<std::string> &args, bool structured)
 
 /**
  * `ratsim verify`: run one configuration across the host-side mode
- * grid (cycle-skip x ra-variant) plus a save/restore leg
+ * grid (cycle-skip x ra-variant) plus a prewarm-restore leg
  * and compare state-digest streams; bisect any divergence to the
  * first differing cycle. Exit 0 = consistent; 1 = divergence found
  * (including a deliberately seeded one); 2 = a seeded mutation went
@@ -616,11 +613,6 @@ verifyCommand(const std::vector<std::string> &args)
         };
         if (arg == "--mutate-at") {
             vopt.mutateAt = parseU64(next(), "--mutate-at");
-        } else if (arg == "--checkpoint-every") {
-            vopt.checkpointEvery =
-                parseU64(next(), "--checkpoint-every");
-            if (!vopt.checkpointEvery)
-                fatal("--checkpoint-every needs a non-zero interval");
         } else if (!parseRunOption(args, i, opt, false)) {
             usage();
             fatal("unknown option '%s'", arg.c_str());

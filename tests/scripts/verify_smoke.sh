@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Verify smoke test: `ratsim verify` on the MIX2 pair under RaT must
-# find the full host-side mode grid (the cycle-skip-off leg, the
-# save/restore leg and the prewarm-restore leg against the skip-on
-# reference, for each of the three ra-variants: 9 legs)
-# digest-identical — and, with a deliberately seeded single-flip
-# mutation, must detect the divergence and bisect it to an exact first
-# divergent cycle.
+# find the full host-side mode grid (the cycle-skip-off leg and the
+# prewarm-restore leg against the skip-on reference: 2 legs per
+# variant, 6 for the three ra-variants) digest-identical — and, with a
+# deliberately seeded single-flip mutation, must detect the divergence
+# and bisect it to an exact first divergent cycle.
 #
 # Usage: verify_smoke.sh /path/to/ratsim
 set -u
@@ -24,10 +23,10 @@ echo "== clean mode-grid verify (must pass) =="
     || fail "clean verify exited non-zero: $(cat "$WORK/clean.log")"
 grep -q "verify: mode grid consistent" "$WORK/clean.log" \
     || fail "missing consistency verdict: $(cat "$WORK/clean.log")"
-# 3 ra-variants x 3 legs: a leg or variant silently dropped from the
+# 3 ra-variants x 2 legs: a leg or variant silently dropped from the
 # grid must fail here, not pass with less coverage.
-grep -q "verify: mode grid consistent (9 legs" "$WORK/clean.log" \
-    || fail "verify grid is not 9 legs: $(cat "$WORK/clean.log")"
+grep -q "verify: mode grid consistent (6 legs" "$WORK/clean.log" \
+    || fail "verify grid is not 6 legs: $(cat "$WORK/clean.log")"
 
 echo "== seeded-mutation verify (must fail with a bisected cycle) =="
 "$RATSIM" verify "${OPTS[@]}" --mutate-at 1500 \

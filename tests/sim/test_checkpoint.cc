@@ -1,22 +1,25 @@
 /**
  * @file
- * Round-trip tests for the "ratck2" architectural checkpoint codec
+ * Round-trip tests for the architectural checkpoint codec
  * (sim/checkpoint.hh): restore-then-run must be digest-identical to
  * run-through at every --digest-window boundary, across cycle skipping
- * and the runahead variants;
- * corrupted blobs must be refused; the file key must share checkpoints
- * across the knobs the functional walk ignores and split them on the
- * knobs it depends on; restoreOrWalk must restore a blob only into its
- * own prewarm identity.
+ * and the runahead variants; the runahead engine's episode state must
+ * survive its visit; corrupted blobs must be refused; the file key
+ * must share checkpoints across the knobs the functional walk ignores
+ * and split them on the knobs it depends on; restoreOrWalk must
+ * restore a blob only into its own prewarm identity.
  */
 
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.hh"
 #include "report/serialize.hh"
+#include "runahead/engine.hh"
 #include "runahead/variant.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
@@ -121,6 +124,120 @@ TEST(Checkpoint, RestoreMatchesAcrossPolicies)
     }
 }
 
+/**
+ * The smallest IO a ckptVisit accepts: encoding appends every value to
+ * `words`, decoding reads them back in the same order.
+ */
+struct WordIO {
+    std::vector<std::uint64_t> words;
+    bool decoding = false;
+    std::size_t pos = 0;
+
+    void
+    word(std::uint64_t &v)
+    {
+        if (decoding)
+            v = words.at(pos++);
+        else
+            words.push_back(v);
+    }
+
+    void
+    size(std::size_t n)
+    {
+        std::uint64_t v = n;
+        word(v);
+        EXPECT_EQ(v, n);
+    }
+
+    template <typename T>
+    void
+    scalar(T &v)
+    {
+        auto w = static_cast<std::uint64_t>(v);
+        word(w);
+        v = static_cast<T>(w);
+    }
+
+    void
+    sortedSet(std::unordered_set<InstSeq> &set)
+    {
+        std::vector<InstSeq> seqs(set.begin(), set.end());
+        std::uint64_t n = seqs.size();
+        word(n);
+        seqs.resize(n);
+        for (InstSeq &seq : seqs)
+            word(seq);
+        set = {seqs.begin(), seqs.end()};
+    }
+
+    void fail() { ADD_FAILURE() << "ckptVisit refused its own words"; }
+};
+
+TEST(Checkpoint, EngineEpisodeStateRoundTrips)
+{
+    // Encoding needs an empty pipeline, so no blob the simulator
+    // writes carries live episode state: the engine's visit is driven
+    // directly. Under the useless-filter variant at threshold 1, one
+    // useless episode turns its code region's later entries into
+    // fetch-gated DrainOnly episodes.
+    core::RatConfig rat;
+    rat.variant = runahead::RaVariant::UselessFilter;
+    rat.uselessFilterThreshold = 1;
+    rat.uselessFilterReprobe = 0;
+    const auto load = [](InstSeq seq) {
+        trace::MicroOp op;
+        op.seq = seq;
+        op.pc = 0x4000;
+        return op;
+    };
+
+    runahead::RunaheadEngine source(rat);
+    // Thread 1: an ended episode that prefetched nothing.
+    ASSERT_TRUE(source.mayEnter(1, load(50)));
+    source.enter(1, load(50), 200, 500, 0x123, 3);
+    source.exit(1, 3);
+    // Thread 0: an active DrainOnly episode.
+    ASSERT_TRUE(source.mayEnter(0, load(10)));
+    source.enter(0, load(10), 100, 400, 0xABC, 7);
+    // Thread 2: a DrainOnly decision no enter() has consumed yet.
+    ASSERT_TRUE(source.mayEnter(2, load(99)));
+    source.suppressLoad(0, 42);
+    source.suppressLoad(0, 11);
+    source.suppressLoad(3, 77);
+    // Every field but lastVetoSeq now differs from a fresh engine's on
+    // some thread (no variant vetoes an entry, so it never moves).
+    ASSERT_TRUE(source.episodeView(0).active);
+    ASSERT_TRUE(source.episodeView(0).drainOnly);
+    ASSERT_TRUE(source.episodeView(2).pendingDrain);
+    ASSERT_EQ(source.episodeView(1).resumeSeq, 50u);
+
+    WordIO io;
+    source.ckptVisit(io);
+    runahead::RunaheadEngine target(rat);
+    io.decoding = true;
+    target.ckptVisit(io);
+    EXPECT_EQ(io.pos, io.words.size());
+
+    for (ThreadId tid = 0; tid < kMaxThreads; ++tid) {
+        SCOPED_TRACE(testing::Message() << "thread " << unsigned{tid});
+        const auto a = source.episodeView(tid);
+        const auto b = target.episodeView(tid);
+        EXPECT_EQ(a.active, b.active);
+        EXPECT_EQ(a.drainOnly, b.drainOnly);
+        EXPECT_EQ(a.pendingDrain, b.pendingDrain);
+        EXPECT_EQ(a.exitAt, b.exitAt);
+        EXPECT_EQ(a.fillAt, b.fillAt);
+        EXPECT_EQ(a.resumeSeq, b.resumeSeq);
+        EXPECT_EQ(a.entryPc, b.entryPc);
+        EXPECT_EQ(a.histCheckpoint, b.histCheckpoint);
+        EXPECT_EQ(a.prefetchSnapshot, b.prefetchSnapshot);
+        EXPECT_EQ(a.lastVetoSeq, b.lastVetoSeq);
+        EXPECT_EQ(a.suppressedLoads, b.suppressedLoads);
+        EXPECT_EQ(a.suppressedHash, b.suppressedHash);
+    }
+}
+
 TEST(Checkpoint, RefusesCorruptBlobs)
 {
     const SimConfig cfg = ckptConfig();
@@ -145,6 +262,15 @@ TEST(Checkpoint, RefusesCorruptBlobs)
     // recomputation cannot match it.
     bad = good;
     bad[bad.size() - 4] ^= 0x01;
+    EXPECT_TRUE(refused(bad));
+
+    // The last thread's suppressed-load count, just before the digest,
+    // raised past what the 8 remaining bytes can hold: refused before
+    // anything is allocated for the elements.
+    const std::size_t count_at = good.size() - 16;
+    ASSERT_EQ(good.compare(count_at, 8, std::string(8, '\0')), 0);
+    bad = good;
+    bad.replace(count_at, 8, std::string(8, '\xff'));
     EXPECT_TRUE(refused(bad));
 
     // Truncation.

@@ -282,15 +282,17 @@ TEST(Sampled, RefusedCheckpointIsWalkedPastOnceAndReplaced)
         cfg.prewarmInsts +
         InstSeq{plan.samples.front().windowIndex} * cfg.phaseWindow;
     char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.ratck2",
+    std::snprintf(name, sizeof(name), "%016llx.%s",
                   static_cast<unsigned long long>(
-                      CheckpointCodec::fileKey(cfg, kMix, position)));
+                      CheckpointCodec::fileKey(cfg, kMix, position)),
+                  CheckpointCodec::kMagic);
     const std::filesystem::path dir =
         std::filesystem::path(testing::TempDir()) / "sampled_refused_ckpt";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     const std::filesystem::path file = dir / name;
-    std::ofstream(file, std::ios::binary) << "ratck2 torn checkpoint";
+    std::ofstream(file, std::ios::binary)
+        << CheckpointCodec::kMagic << " torn checkpoint";
 
     testing::internal::CaptureStderr();
     const SimResult planted = simulateCell(cfg, kMix, dir.string());
