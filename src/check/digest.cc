@@ -63,6 +63,24 @@ visitInst(Sink &sink, const core::DynInst &inst)
                    static_cast<std::uint64_t>(inst.srcState[s]));
 }
 
+/**
+ * A counter struct through its table, less the per-cycle integrals:
+ * skipTo() integrates those span-at-once before the boundary loop, so
+ * their value at an interior boundary is a host-mode artifact. Any
+ * real divergence they could witness stems from digested
+ * instantaneous state.
+ */
+template <typename Sink, typename Stats, std::size_t N>
+void
+visitCounters(Sink &sink, const Stats &stats,
+              const CounterField<Stats> (&table)[N])
+{
+    for (const CounterField<Stats> &c : table) {
+        if (!c.perCycle)
+            sink.field(c.name, stats.*c.member);
+    }
+}
+
 template <typename Sink>
 void
 visitMap(Sink &sink, const core::RenameMap &map,
@@ -119,34 +137,10 @@ StateHasher::visit(Sink &sink, const core::SmtCore &core)
         sink.field("predictorHistory", core.predictor_.history(tid));
 
         sink.section("thread.stats");
-        const core::ThreadStats &st = core.stats_[tid];
-        sink.field("committed", st.committedInsts);
-        sink.field("executed", st.executedInsts);
-        sink.field("fetched", st.fetchedInsts);
-        sink.field("pseudoRetired", st.pseudoRetired);
-        sink.field("invalidInsts", st.invalidInsts);
-        sink.field("runaheadEntries", st.runaheadEntries);
-        sink.field("uselessEpisodes", st.uselessRunaheadEpisodes);
-        sink.field("branches", st.branches);
-        sink.field("branchMispredicts", st.branchMispredicts);
-        sink.field("squashed", st.squashedInsts);
-        // normalCycles/runaheadCycles and the reg-cycle integrals are
-        // deliberately absent: skipTo() integrates them span-at-once
-        // before the boundary loop, so their value at an interior
-        // boundary is a host-mode artifact. Any real divergence they
-        // could witness stems from digested instantaneous state.
-
+        visitCounters(sink, core.stats_[tid], core::kThreadStatsCounters);
         sink.section("thread.mem");
-        const mem::ThreadMemStats &ms = core.mem_.threadStats(tid);
-        sink.field("loads", ms.loads);
-        sink.field("stores", ms.stores);
-        sink.field("l1dMisses", ms.l1dMisses);
-        sink.field("l2DemandMisses", ms.l2DemandMisses);
-        sink.field("ifetchL1Misses", ms.ifetchL1Misses);
-        sink.field("ifetchL2Misses", ms.ifetchL2Misses);
-        sink.field("ifetchPrefetches", ms.ifetchPrefetches);
-        sink.field("raMemPrefetches", ms.raMemPrefetches);
-        sink.field("raL2Prefetches", ms.raL2Prefetches);
+        visitCounters(sink, core.mem_.threadStats(tid),
+                      mem::kThreadMemStatsCounters);
 
         sink.section("thread.maps");
         visitMap(sink, t.intMap, core.intRegs_);
@@ -178,13 +172,8 @@ StateHasher::visit(Sink &sink, const core::SmtCore &core)
     }
 
     sink.section("engine.stats");
-    const runahead::EngineStats &es = core.raEngine_.stats();
-    sink.field("episodes", es.episodes);
-    sink.field("uselessEpisodes", es.uselessEpisodes);
-    sink.field("suppressedEntries", es.suppressedEntries);
-    sink.field("drainEpisodes", es.drainEpisodes);
-    sink.field("cappedExits", es.cappedExits);
-    sink.field("executedInRunahead", es.executedInRunahead);
+    visitCounters(sink, core.raEngine_.stats(),
+                  runahead::kEngineStatsCounters);
 
     sink.section("mem");
     const struct {

@@ -14,8 +14,10 @@
  * implementation detail, not behaviour; the maps are digested by entry
  * kind and producer readiness instead, and checkpoints embed this
  * digest, so the enumeration stays fixed), no per-cycle integrals
- * (skipTo integrates them span-at-once), and no issue-queue slot
- * indices. Two runs of the same configuration in any mode must
+ * (skipTo integrates them span-at-once; they are the entries flagged
+ * `perCycle` in core::kThreadStatsCounters), and no issue-queue slot
+ * indices. The three counter structs are digested through their
+ * `CounterField` tables (common/stats.hh), in declaration order. Two runs of the same configuration in any mode must
  * therefore produce byte-identical digest streams — and `ratsim
  * verify` bisects the first window where they do not.
  */

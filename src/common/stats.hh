@@ -11,11 +11,35 @@
 #ifndef RAT_COMMON_STATS_HH
 #define RAT_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace rat {
+
+/**
+ * One member of a plain counter struct and the key it is reported
+ * under. Each counter struct (every member a std::uint64_t) keeps a
+ * table of these next to its declaration, in declaration order; the
+ * JSON codec, the sampled merge and the state digest loop over that
+ * table instead of naming the members again.
+ */
+template <typename Stats>
+struct CounterField {
+    const char *name;
+    std::uint64_t Stats::*member;
+    /** Integrated every cycle; the state digest skips it. */
+    bool perCycle = false;
+};
+
+/** Does @p table list as many counters as Stats has members? */
+template <typename Stats, std::size_t N>
+constexpr bool
+coversEveryMember(const CounterField<Stats> (&)[N])
+{
+    return N * sizeof(std::uint64_t) == sizeof(Stats);
+}
 
 /**
  * Running mean/min/max accumulator over double-valued samples.

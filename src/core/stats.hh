@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/stats.hh"
+
 namespace rat::core {
 
 /** Counters for one hardware thread. */
@@ -71,6 +73,32 @@ struct ThreadStats {
                    : 0.0;
     }
 };
+
+/**
+ * Every ThreadStats counter under its JSON key. The four per-cycle
+ * integrals are flagged: skipTo() adds a whole skipped span at once,
+ * so their value at a digest boundary inside the span depends on the
+ * host mode.
+ */
+inline constexpr CounterField<ThreadStats> kThreadStatsCounters[] = {
+    {"committedInsts", &ThreadStats::committedInsts},
+    {"executedInsts", &ThreadStats::executedInsts},
+    {"fetchedInsts", &ThreadStats::fetchedInsts},
+    {"pseudoRetired", &ThreadStats::pseudoRetired},
+    {"invalidInsts", &ThreadStats::invalidInsts},
+    {"runaheadEntries", &ThreadStats::runaheadEntries},
+    {"uselessRunaheadEpisodes", &ThreadStats::uselessRunaheadEpisodes},
+    {"runaheadCycles", &ThreadStats::runaheadCycles, /*perCycle=*/true},
+    {"normalCycles", &ThreadStats::normalCycles, /*perCycle=*/true},
+    {"branches", &ThreadStats::branches},
+    {"branchMispredicts", &ThreadStats::branchMispredicts},
+    {"squashedInsts", &ThreadStats::squashedInsts},
+    {"normalRegCycles", &ThreadStats::normalRegCycles, /*perCycle=*/true},
+    {"runaheadRegCycles", &ThreadStats::runaheadRegCycles,
+     /*perCycle=*/true},
+};
+static_assert(coversEveryMember(kThreadStatsCounters),
+              "kThreadStatsCounters must list every ThreadStats member");
 
 } // namespace rat::core
 

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "obs/trace.hh"
@@ -60,6 +61,22 @@ struct ThreadMemStats {
     /** Runahead accesses satisfied by L2 (warm L1 only). */
     std::uint64_t raL2Prefetches = 0;
 };
+
+/** Every ThreadMemStats counter under its JSON key. */
+inline constexpr CounterField<ThreadMemStats> kThreadMemStatsCounters[] = {
+    {"loads", &ThreadMemStats::loads},
+    {"stores", &ThreadMemStats::stores},
+    {"l1dMisses", &ThreadMemStats::l1dMisses},
+    {"l2DemandMisses", &ThreadMemStats::l2DemandMisses},
+    {"ifetchL1Misses", &ThreadMemStats::ifetchL1Misses},
+    {"ifetchL2Misses", &ThreadMemStats::ifetchL2Misses},
+    {"ifetchPrefetches", &ThreadMemStats::ifetchPrefetches},
+    {"raMemPrefetches", &ThreadMemStats::raMemPrefetches},
+    {"raL2Prefetches", &ThreadMemStats::raL2Prefetches},
+};
+static_assert(coversEveryMember(kThreadMemStatsCounters),
+              "kThreadMemStatsCounters must list every ThreadMemStats "
+              "member");
 
 /**
  * The full memory system seen by the SMT core. All hardware threads share

@@ -79,6 +79,30 @@ getString(const Json &obj, const char *key, std::string &out)
     return true;
 }
 
+/** @p stats as an object with one member per entry of @p table. */
+template <typename Stats, std::size_t N>
+Json
+countersToJson(const Stats &stats, const CounterField<Stats> (&table)[N])
+{
+    Json j = Json::object();
+    for (const CounterField<Stats> &c : table)
+        j[c.name] = Json(stats.*c.member);
+    return j;
+}
+
+/** The inverse of countersToJson; false when any member is missing. */
+template <typename Stats, std::size_t N>
+bool
+countersFromJson(const Json &json, Stats &stats,
+                 const CounterField<Stats> (&table)[N])
+{
+    for (const CounterField<Stats> &c : table) {
+        if (!getU64(json, c.name, stats.*c.member))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 Json
@@ -331,72 +355,25 @@ fromJson(const Json &json, sim::SimConfig &config)
 Json
 toJson(const core::ThreadStats &stats)
 {
-    Json j = Json::object();
-    j["committedInsts"] = Json(stats.committedInsts);
-    j["executedInsts"] = Json(stats.executedInsts);
-    j["fetchedInsts"] = Json(stats.fetchedInsts);
-    j["pseudoRetired"] = Json(stats.pseudoRetired);
-    j["invalidInsts"] = Json(stats.invalidInsts);
-    j["runaheadEntries"] = Json(stats.runaheadEntries);
-    j["uselessRunaheadEpisodes"] = Json(stats.uselessRunaheadEpisodes);
-    j["runaheadCycles"] = Json(stats.runaheadCycles);
-    j["normalCycles"] = Json(stats.normalCycles);
-    j["branches"] = Json(stats.branches);
-    j["branchMispredicts"] = Json(stats.branchMispredicts);
-    j["squashedInsts"] = Json(stats.squashedInsts);
-    j["normalRegCycles"] = Json(stats.normalRegCycles);
-    j["runaheadRegCycles"] = Json(stats.runaheadRegCycles);
-    return j;
+    return countersToJson(stats, core::kThreadStatsCounters);
 }
 
 bool
 fromJson(const Json &json, core::ThreadStats &stats)
 {
-    return getU64(json, "committedInsts", stats.committedInsts) &&
-           getU64(json, "executedInsts", stats.executedInsts) &&
-           getU64(json, "fetchedInsts", stats.fetchedInsts) &&
-           getU64(json, "pseudoRetired", stats.pseudoRetired) &&
-           getU64(json, "invalidInsts", stats.invalidInsts) &&
-           getU64(json, "runaheadEntries", stats.runaheadEntries) &&
-           getU64(json, "uselessRunaheadEpisodes",
-                  stats.uselessRunaheadEpisodes) &&
-           getU64(json, "runaheadCycles", stats.runaheadCycles) &&
-           getU64(json, "normalCycles", stats.normalCycles) &&
-           getU64(json, "branches", stats.branches) &&
-           getU64(json, "branchMispredicts", stats.branchMispredicts) &&
-           getU64(json, "squashedInsts", stats.squashedInsts) &&
-           getU64(json, "normalRegCycles", stats.normalRegCycles) &&
-           getU64(json, "runaheadRegCycles", stats.runaheadRegCycles);
+    return countersFromJson(json, stats, core::kThreadStatsCounters);
 }
 
 Json
 toJson(const mem::ThreadMemStats &stats)
 {
-    Json j = Json::object();
-    j["loads"] = Json(stats.loads);
-    j["stores"] = Json(stats.stores);
-    j["l1dMisses"] = Json(stats.l1dMisses);
-    j["l2DemandMisses"] = Json(stats.l2DemandMisses);
-    j["ifetchL1Misses"] = Json(stats.ifetchL1Misses);
-    j["ifetchL2Misses"] = Json(stats.ifetchL2Misses);
-    j["ifetchPrefetches"] = Json(stats.ifetchPrefetches);
-    j["raMemPrefetches"] = Json(stats.raMemPrefetches);
-    j["raL2Prefetches"] = Json(stats.raL2Prefetches);
-    return j;
+    return countersToJson(stats, mem::kThreadMemStatsCounters);
 }
 
 bool
 fromJson(const Json &json, mem::ThreadMemStats &stats)
 {
-    return getU64(json, "loads", stats.loads) &&
-           getU64(json, "stores", stats.stores) &&
-           getU64(json, "l1dMisses", stats.l1dMisses) &&
-           getU64(json, "l2DemandMisses", stats.l2DemandMisses) &&
-           getU64(json, "ifetchL1Misses", stats.ifetchL1Misses) &&
-           getU64(json, "ifetchL2Misses", stats.ifetchL2Misses) &&
-           getU64(json, "ifetchPrefetches", stats.ifetchPrefetches) &&
-           getU64(json, "raMemPrefetches", stats.raMemPrefetches) &&
-           getU64(json, "raL2Prefetches", stats.raL2Prefetches);
+    return countersFromJson(json, stats, mem::kThreadMemStatsCounters);
 }
 
 Json
@@ -505,14 +482,7 @@ fromJson(const Json &json, obs::TelemetryResult &telemetry)
 Json
 engineStatsJson(const runahead::EngineStats &stats)
 {
-    Json j = Json::object();
-    j["episodes"] = Json(stats.episodes);
-    j["uselessEpisodes"] = Json(stats.uselessEpisodes);
-    j["suppressedEntries"] = Json(stats.suppressedEntries);
-    j["drainEpisodes"] = Json(stats.drainEpisodes);
-    j["cappedExits"] = Json(stats.cappedExits);
-    j["executedInRunahead"] = Json(stats.executedInRunahead);
-    return j;
+    return countersToJson(stats, runahead::kEngineStatsCounters);
 }
 
 Json

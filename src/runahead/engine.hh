@@ -34,6 +34,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "core/config.hh"
 #include "runahead/policy.hh"
@@ -60,6 +61,18 @@ struct EngineStats {
     /** Instructions executed (issued) while their thread ran ahead. */
     std::uint64_t executedInRunahead = 0;
 };
+
+/** Every EngineStats counter under its JSON key. */
+inline constexpr CounterField<EngineStats> kEngineStatsCounters[] = {
+    {"episodes", &EngineStats::episodes},
+    {"uselessEpisodes", &EngineStats::uselessEpisodes},
+    {"suppressedEntries", &EngineStats::suppressedEntries},
+    {"drainEpisodes", &EngineStats::drainEpisodes},
+    {"cappedExits", &EngineStats::cappedExits},
+    {"executedInRunahead", &EngineStats::executedInRunahead},
+};
+static_assert(coversEveryMember(kEngineStatsCounters),
+              "kEngineStatsCounters must list every EngineStats member");
 
 /** The extracted Runahead Threads subsystem. */
 class RunaheadEngine

@@ -305,47 +305,6 @@ weightedDispersion(const std::vector<double> &x,
     return std::sqrt(var / totalW) / std::abs(mean);
 }
 
-/** The counters extrapolation scales (every ThreadStats field). */
-constexpr std::uint64_t core::ThreadStats::*kCoreCounters[] = {
-    &core::ThreadStats::committedInsts,
-    &core::ThreadStats::executedInsts,
-    &core::ThreadStats::fetchedInsts,
-    &core::ThreadStats::pseudoRetired,
-    &core::ThreadStats::invalidInsts,
-    &core::ThreadStats::runaheadEntries,
-    &core::ThreadStats::uselessRunaheadEpisodes,
-    &core::ThreadStats::runaheadCycles,
-    &core::ThreadStats::normalCycles,
-    &core::ThreadStats::branches,
-    &core::ThreadStats::branchMispredicts,
-    &core::ThreadStats::squashedInsts,
-    &core::ThreadStats::normalRegCycles,
-    &core::ThreadStats::runaheadRegCycles,
-};
-
-/** Every ThreadMemStats field. */
-constexpr std::uint64_t mem::ThreadMemStats::*kMemCounters[] = {
-    &mem::ThreadMemStats::loads,
-    &mem::ThreadMemStats::stores,
-    &mem::ThreadMemStats::l1dMisses,
-    &mem::ThreadMemStats::l2DemandMisses,
-    &mem::ThreadMemStats::ifetchL1Misses,
-    &mem::ThreadMemStats::ifetchL2Misses,
-    &mem::ThreadMemStats::ifetchPrefetches,
-    &mem::ThreadMemStats::raMemPrefetches,
-    &mem::ThreadMemStats::raL2Prefetches,
-};
-
-/** Every EngineStats field. */
-constexpr std::uint64_t runahead::EngineStats::*kEngineCounters[] = {
-    &runahead::EngineStats::episodes,
-    &runahead::EngineStats::uselessEpisodes,
-    &runahead::EngineStats::suppressedEntries,
-    &runahead::EngineStats::drainEpisodes,
-    &runahead::EngineStats::cappedExits,
-    &runahead::EngineStats::executedInRunahead,
-};
-
 } // namespace
 
 const trace::PhaseProfile &
@@ -486,14 +445,14 @@ mergeSampledResults(const SimConfig &cfg,
     for (std::size_t t = 0; t < merged.threads.size(); ++t) {
         ThreadResult &tr = merged.threads[t];
         tr.program = samples.front().threads[t].program;
-        for (auto member : kCoreCounters) {
-            tr.core.*member = extrapolate([t, member](const SimResult &s) {
-                return s.threads[t].core.*member;
+        for (const auto &c : core::kThreadStatsCounters) {
+            tr.core.*c.member = extrapolate([t, &c](const SimResult &s) {
+                return s.threads[t].core.*c.member;
             });
         }
-        for (auto member : kMemCounters) {
-            tr.mem.*member = extrapolate([t, member](const SimResult &s) {
-                return s.threads[t].mem.*member;
+        for (const auto &c : mem::kThreadMemStatsCounters) {
+            tr.mem.*c.member = extrapolate([t, &c](const SimResult &s) {
+                return s.threads[t].mem.*c.member;
             });
         }
         // IPC is the cycle-weighted mean of the per-sample IPCs
@@ -510,9 +469,9 @@ mergeSampledResults(const SimConfig &cfg,
                               static_cast<double>(tr.core.committedInsts)
                         : 0.0;
     }
-    for (auto member : kEngineCounters) {
-        merged.engine.*member = extrapolate([member](const SimResult &s) {
-            return s.engine.*member;
+    for (const auto &c : runahead::kEngineStatsCounters) {
+        merged.engine.*c.member = extrapolate([&c](const SimResult &s) {
+            return s.engine.*c.member;
         });
     }
 
