@@ -118,6 +118,12 @@ struct FarmOutcome {
  * Run @p spec as a sharded multi-process farm. Requires fork/exec;
  * the campaign inside the returned outcome is in grid order, exactly
  * like runCampaign's.
+ *
+ * Workers run every cell with default host-side settings: a job
+ * carries the cell's serialized config, which holds the model fields
+ * only, so host-only SimConfig fields of @p spec (such as
+ * `core.cycleSkipping`, `core.checkLevel` or `traceOut`) never reach
+ * them.
  */
 FarmOutcome runFarm(const CampaignSpec &spec, const FarmOptions &options);
 

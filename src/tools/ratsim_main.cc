@@ -152,7 +152,7 @@ usage()
         "                            is its own schedulable cell and\n"
         "                            reports collapse to merged rows)\n"
         "\n"
-        "farm options (all sweep options, plus):\n"
+        "farm options (all sweep options but --no-cycle-skip, plus):\n"
         "  --workers N               worker processes (default: hardware)\n"
         "  --shards N                job shards (default: 4x workers);\n"
         "                            idle workers steal straggler shards\n"
@@ -775,7 +775,8 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
             rat_flags.disablePrefetch = true;
         } else if (arg == "--no-ra-fetch") {
             rat_flags.noFetchInRunahead = true;
-        } else if (arg == "--no-cycle-skip") {
+        } else if (!farm_mode && arg == "--no-cycle-skip") {
+            // Host-only: farm workers would never see it (runFarm).
             spec.base.core.cycleSkipping = false;
         } else if (arg == "--sample-window") {
             spec.base.sampleWindow =

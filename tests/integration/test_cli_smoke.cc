@@ -267,6 +267,18 @@ TEST(CliSmoke, FarmWorkersFlagRejectedOutsideFarmMode)
     EXPECT_NE(r.output.find("--workers"), std::string::npos) << r.output;
 }
 
+TEST(CliSmoke, FarmRejectsNoCycleSkip)
+{
+    // A job ships only the serialized model config, so a worker would
+    // silently skip cycles anyway: the flag is refused up front.
+    const CliResult r = runCli(
+        "farm --workloads art,mcf --measure 1000 --warmup 200 "
+        "--prewarm 5000 --workers 1 --no-cycle-skip");
+    EXPECT_NE(r.exitCode, 0);
+    EXPECT_NE(r.output.find("--no-cycle-skip"), std::string::npos)
+        << r.output;
+}
+
 TEST(CliSmoke, FarmWorkerModeRequiresItsPrivateProtocol)
 {
     // The worker entry point speaks length-prefixed frames on stdin;
