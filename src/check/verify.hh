@@ -1,16 +1,16 @@
 /**
  * @file
  * `ratsim verify`: the self-checking determinism audit. Runs one
- * configuration, for every runahead variant when the policy is
- * runahead-capable, as a cycle-skip-on reference and two legs: one
- * with cycle skipping off, and a prewarm-restore leg that restores the
- * post-prewarm state from a checkpoint (sim/checkpoint.hh) walked
- * under a different scheduling policy, through the campaign path
- * (sim::restoreOrWalk) — the one save/restore leg, so every field the
- * checkpoint carries, the runahead engine's included, is round-tripped.
- * Both legs must produce byte-identical state-digest streams to the
- * reference (see digest.hh for why that is the right equivalence). A
- * prewarm checkpoint that does not restore is fatal.
+ * configuration across the host-side mode grid — cycle-skip on/off,
+ * for every runahead variant when the policy is runahead-capable —
+ * plus a prewarm-restore leg that restores the post-prewarm state
+ * from a checkpoint walked under a different scheduling policy,
+ * through the campaign path (sim::restoreOrWalk). It is the one
+ * save/restore leg: it round-trips every field a checkpoint carries,
+ * the runahead engine's included. All legs must produce
+ * byte-identical state-digest streams (see digest.hh for why that is
+ * the right equivalence). A prewarm checkpoint that does not restore
+ * is fatal.
  *
  * On divergence (or with a deliberately seeded `--mutate-at` fault)
  * the driver narrows the coarse digest window down to the exact first

@@ -58,15 +58,14 @@ struct CkptWriter {
     }
 
     /** Count, then elements in ascending order: equal sets, equal bytes. */
-    template <typename T>
     void
-    sortedSet(std::unordered_set<T> &set)
+    sortedSet(std::unordered_set<InstSeq> &set)
     {
-        std::vector<T> sorted(set.begin(), set.end());
+        std::vector<InstSeq> sorted(set.begin(), set.end());
         std::sort(sorted.begin(), sorted.end());
         raw64(sorted.size());
-        for (T &v : sorted)
-            scalar(v);
+        for (InstSeq seq : sorted)
+            raw64(seq);
     }
 
     void fail() { ok = false; }
@@ -124,9 +123,8 @@ struct CkptReader {
      * Every element takes 8 bytes, so a count the rest of the blob
      * cannot hold is refused before anything is allocated for it.
      */
-    template <typename T>
     void
-    sortedSet(std::unordered_set<T> &set)
+    sortedSet(std::unordered_set<InstSeq> &set)
     {
         std::uint64_t n;
         if (!raw64(n))
@@ -136,11 +134,8 @@ struct CkptReader {
             return;
         }
         set.clear();
-        for (; n > 0; --n) {
-            T v{};
-            scalar(v);
-            set.insert(v);
-        }
+        for (std::uint64_t seq = 0; n > 0 && raw64(seq); --n)
+            set.insert(seq);
     }
 
     void fail() { ok = false; }

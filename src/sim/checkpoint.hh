@@ -6,22 +6,23 @@
  * A checkpoint captures the *functional post-prewarm* state of one
  * simulation: trace positions, branch predictor, BTB, return-address
  * stacks, all three cache levels and the runahead engine's per-thread
- * episode state. It deliberately captures nothing of the timing
- * pipeline — encoding is only legal when the pipeline is provably
- * empty (no in-flight instructions, no outstanding fills, no runahead
- * episodes), which is exactly the state `SmtCore::prewarm` leaves
- * behind. That restriction is what lets one checkpoint be restored
- * into simulators with *different* policy / ROB configurations: the
- * walk that builds it never touches the structures those knobs size.
+ * episode state.
+ * It deliberately captures nothing of the timing pipeline — encoding is
+ * only legal when the pipeline is provably empty (no in-flight
+ * instructions, no outstanding fills, no runahead episodes), which is
+ * exactly the state `SmtCore::prewarm` leaves behind. That restriction
+ * is what lets one checkpoint be restored into simulators with
+ * *different* policy / ROB configurations: the walk that builds it
+ * never touches the structures those knobs size.
  *
- * Drift-proofing: every component's state, the engine's included, is
- * enumerated by one `ckptVisit(IO&)` member template that drives both
- * encode and decode, and the blob embeds the digest subsystem's
- * `StateHasher` hash of the source core. `restore()` recomputes that
- * hash on the restored target and refuses on mismatch — so the
- * checkpointed state and the digested state cannot silently drift
- * apart, and a failed restore falls back to a (bit-identical) fresh
- * functional walk instead of corrupting a run.
+ * Drift-proofing: every component's state is enumerated by one
+ * `ckptVisit(IO&)` member template that drives both encode and decode,
+ * and the blob embeds the digest subsystem's `StateHasher` hash of the
+ * source core. `restore()` recomputes that hash on the restored target
+ * and refuses on mismatch — so the checkpointed state and the digested
+ * state cannot silently drift apart, and a failed restore falls back
+ * to a (bit-identical) fresh functional walk instead of corrupting a
+ * run.
  *
  * Format (all integers u64 little-endian):
  *   "ratck3" magic | visit(core, mem, engine) fields | StateHasher digest
@@ -87,7 +88,7 @@ class CheckpointCodec
      * Identity of the checkpoint a given configuration needs at trace
      * position @p position: a hash over everything the functional walk
      * (and the restore-time digest) depends on — programs, seed,
-     * thread count, predictor and memory geometry, register-file sizes
+     * thread count, predictor and memory geometry, register-file sizes,
      * the position itself and the format (kMagic). Deliberately
      * *excludes* the scheduling policy, runahead variant and ROB size,
      * so one walk serves a whole policy sweep.

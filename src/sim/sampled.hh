@@ -25,11 +25,12 @@
  *      the refused one in the registry and the directory), runs
  *      `sampleWarmupCycles` of detailed warmup, then measures
  *      `sampleMeasureCycles`.
- *   4. Extrapolation: every counter is converted to a per-cycle rate,
- *      averaged across samples weighted by cluster population, and
- *      scaled back to the configured full measured window. The weighted
- *      relative dispersion of the per-sample IPC metrics is reported as
- *      the error estimate.
+ *   4. Extrapolation: every counter (each entry of the ThreadStats,
+ *      ThreadMemStats and EngineStats counter tables) is converted to a
+ *      per-cycle rate, averaged across samples weighted by cluster
+ *      population, and scaled back to the configured full measured
+ *      window. The weighted relative dispersion of the per-sample IPC
+ *      metrics is reported as the error estimate.
  *
  * Determinism: every step is a pure function of the configuration, so
  * sampled results are cacheable under the same key discipline as exact
