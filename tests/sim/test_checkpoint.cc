@@ -125,8 +125,8 @@ TEST(Checkpoint, RestoreMatchesAcrossPolicies)
 }
 
 /**
- * The smallest IO a ckptVisit accepts: encoding appends every value to
- * `words`, decoding reads them back in the same order.
+ * The smallest IO RunaheadEngine::ckptVisit accepts: encoding appends
+ * every value to `words`, decoding reads them back in the same order.
  */
 struct WordIO {
     std::vector<std::uint64_t> words;
