@@ -7,7 +7,8 @@
  * survive its visit; corrupted blobs must be refused; the file key
  * must share checkpoints across the knobs the functional walk ignores
  * and split them on the knobs it depends on; restoreOrWalk must
- * restore a blob only into its own prewarm identity.
+ * restore a blob only into its own prewarm identity; the blob after a
+ * fixed walk is pinned.
  */
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.hh"
+#include "report/result_cache.hh"
 #include "report/serialize.hh"
 #include "runahead/engine.hh"
 #include "runahead/variant.hh"
@@ -331,6 +333,27 @@ TEST(Checkpoint, IncrementalWalkEncodesIdentically)
     stepped.smtCore().prewarm(5000);
     EXPECT_EQ(CheckpointCodec::encode(oneShot),
               CheckpointCodec::encode(stepped));
+}
+
+TEST(Checkpoint, PostPrewarmBlobMatchesGolden)
+{
+    // The state digest hashes cache hit/miss counts, not LRU stamps or
+    // predictor weights; the blob holds all of them, so this is the pin
+    // of the functional walk's full state.
+    const struct {
+        std::vector<std::string> programs;
+        std::uint64_t blobFnv;
+    } pins[] = {
+        {{"ammp", "applu", "apsi", "eon"}, 0xedb9f5ff0317ffb3ULL},
+        {{"art", "gzip"}, 0xb6cd4c84b333567aULL},
+    };
+    for (const auto &pin : pins) {
+        Simulator sim(SimConfig{}, pin.programs);
+        sim.smtCore().prewarm(200000);
+        EXPECT_EQ(report::fnv1a64(CheckpointCodec::encode(sim)),
+                  pin.blobFnv)
+            << pin.programs.size() << "-thread mix " << pin.programs[0];
+    }
 }
 
 TEST(Checkpoint, RestoreOrWalkRestoresOnlyItsOwnIdentity)
