@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot components
  * (engineering health, not a paper figure): cache access, perceptron
- * prediction, trace synthesis, and whole-core cycle throughput.
+ * prediction, trace synthesis, the functional prewarm walk, and
+ * whole-core cycle throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,12 +12,16 @@
 #include "core/smt_core.hh"
 #include "mem/hierarchy.hh"
 #include "policy/factory.hh"
+#include "sim/simulator.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 
 namespace {
 
 using namespace rat;
+
+/** The default `ratsim run` MIX4 mix (ratbench's first cell-mix4 mix). */
+const std::vector<std::string> kMix4 = {"ammp", "applu", "apsi", "eon"};
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -68,13 +73,39 @@ BENCHMARK(BM_PerceptronPredict);
 void
 BM_TraceGenerate(benchmark::State &state)
 {
-    const trace::TraceGenerator gen(trace::spec2000("gcc"), 1,
-                                    Addr{1} << 40);
+    // The four streams of a default MIX4 Simulator, walked in prewarm
+    // order (instruction i of every thread, then i + 1); one at() per
+    // iteration.
+    const auto gens = sim::makeStreams(sim::SimConfig{}.seed, kMix4);
     InstSeq i = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(gen.at(++i));
+    std::size_t t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gens[t]->at(i));
+        if (++t == gens.size()) {
+            t = 0;
+            ++i;
+        }
+    }
 }
 BENCHMARK(BM_TraceGenerate);
+
+void
+BM_PrewarmWalk(benchmark::State &state)
+{
+    // What a cell pays for its walk: prewarm(100000) on a fresh MIX4
+    // Simulator (construction untimed). Items are thread-instructions.
+    constexpr InstSeq kInsts = 100000;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim::Simulator sim(sim::SimConfig{}, kMix4);
+        state.ResumeTiming();
+        sim.smtCore().prewarm(kInsts);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kInsts * kMix4.size()));
+}
+BENCHMARK(BM_PrewarmWalk)->Unit(benchmark::kMillisecond);
 
 void
 BM_CoreCycle(benchmark::State &state)

@@ -288,6 +288,16 @@ SmtCore::prewarm(InstSeq insts)
     mem::Cache &l2 = mem_.l2();
     Addr evicted = 0;
 
+    // Per-thread PC-line hint: the L1I and L2 slots the thread's last PC
+    // line sits in. Consecutive instructions mostly share a line, and
+    // while the hinted slot still holds it installHinted refreshes it
+    // without walking the set. Locals of this call: no new core state.
+    struct PcLineHint {
+        std::size_t l1i = 0;
+        std::size_t l2 = 0;
+    };
+    std::vector<PcLineHint> hints(config_.numThreads);
+
     for (InstSeq i = 0; i < insts; ++i) {
         // Interleave threads so the shared L2's replacement state sees
         // the same competition it will see during timing simulation.
@@ -297,10 +307,10 @@ SmtCore::prewarm(InstSeq insts)
             const Cycle pseudo_now =
                 static_cast<Cycle>(prewarmedInsts_) + i;
 
-            l1i.install(l1i.lineAlign(op.pc), pseudo_now, pseudo_now,
-                        evicted);
-            l2.install(l2.lineAlign(op.pc), pseudo_now, pseudo_now,
-                       evicted);
+            l1i.installHinted(l1i.lineAlign(op.pc), pseudo_now, pseudo_now,
+                              evicted, hints[t].l1i);
+            l2.installHinted(l2.lineAlign(op.pc), pseudo_now, pseudo_now,
+                             evicted, hints[t].l2);
             if (trace::isMemOp(op.op)) {
                 l1d.install(l1d.lineAlign(op.effAddr), pseudo_now,
                             pseudo_now, evicted);

@@ -85,6 +85,14 @@ Cache::access(Addr addr, Cycle now, Cycle &ready_at)
 bool
 Cache::install(Addr addr, Cycle now, Cycle ready_at, Addr &evicted)
 {
+    std::size_t slot = 0;
+    return installSlot(addr, now, ready_at, evicted, slot);
+}
+
+bool
+Cache::installSlot(Addr addr, Cycle now, Cycle ready_at, Addr &evicted,
+                   std::size_t &slot)
+{
     // Single way-walk over the set: find a present line and track the
     // replacement victim (first invalid way, else LRU) in one pass, so
     // the set base and tag are computed once per install.
@@ -99,6 +107,7 @@ Cache::install(Addr addr, Cycle now, Cycle ready_at, Addr &evicted)
             // time only if it makes the line available earlier.
             l.lastUse = now;
             l.readyAt = std::min(l.readyAt, ready_at);
+            slot = static_cast<std::size_t>(&l - lines_.data());
             return false;
         }
         if (!l.valid) {
@@ -118,6 +127,7 @@ Cache::install(Addr addr, Cycle now, Cycle ready_at, Addr &evicted)
     victim->tag = tagOf(addr);
     victim->lastUse = now;
     victim->readyAt = ready_at;
+    slot = static_cast<std::size_t>(victim - lines_.data());
     return had_victim;
 }
 

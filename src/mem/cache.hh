@@ -15,6 +15,8 @@
 #ifndef RAT_MEM_CACHE_HH
 #define RAT_MEM_CACHE_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,6 +77,30 @@ class Cache
      * @p evicted (valid iff the return value is true).
      */
     bool install(Addr addr, Cycle now, Cycle ready_at, Addr &evicted);
+
+    /**
+     * install() with a caller-held slot hint. A line sits in at most
+     * one way, and a slot's tag names its set, so when slot @p hint
+     * holds @p addr's line, install() would refresh exactly that slot:
+     * this does the same refresh without the way-walk. Otherwise it is
+     * install(), and @p hint is set to the slot the line now occupies.
+     * Any hint value is safe; the hint lives with the caller, so the
+     * cache's visited state does not grow.
+     */
+    bool
+    installHinted(Addr addr, Cycle now, Cycle ready_at, Addr &evicted,
+                  std::size_t &hint)
+    {
+        if (hint < lines_.size()) {
+            Line &l = lines_[hint];
+            if (l.valid && l.tag == tagOf(addr)) {
+                l.lastUse = now;
+                l.readyAt = std::min(l.readyAt, ready_at);
+                return false;
+            }
+        }
+        return installSlot(addr, now, ready_at, evicted, hint);
+    }
 
     /** Invalidate a line if present (backing store for eviction tests). */
     void invalidate(Addr addr);
@@ -156,6 +182,10 @@ class Cache
 
     const Line *findLine(Addr addr) const;
     Line *findLine(Addr addr);
+
+    /** install(), reporting the slot the line ends up in. */
+    bool installSlot(Addr addr, Cycle now, Cycle ready_at, Addr &evicted,
+                     std::size_t &slot);
 
     CacheConfig config_;
     unsigned numSets_;

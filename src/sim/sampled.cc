@@ -20,34 +20,12 @@
 
 #include "check/fnv.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
 #include "trace/generator.hh"
-#include "trace/profile.hh"
 
 namespace rat::sim {
 namespace {
-
-/**
- * Trace streams for phase profiling — the exact recipe the Simulator
- * constructor uses (same profile lookup, per-instance seed and address
- * base), so the profiler sees the same dynamic stream the core will.
- */
-std::vector<std::unique_ptr<trace::TraceGenerator>>
-makeStreams(const SimConfig &cfg, const std::vector<std::string> &programs)
-{
-    std::vector<std::unique_ptr<trace::TraceGenerator>> gens;
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        const auto &profile = trace::spec2000(programs[i]);
-        const std::uint64_t seed =
-            hashCombine(cfg.seed, hashCombine(i + 1, 0x7261747321ULL));
-        const Addr base = (static_cast<Addr>(i) + 1) << 40;
-        gens.push_back(
-            std::make_unique<trace::TraceGenerator>(profile, seed, base));
-    }
-    return gens;
-}
 
 /**
  * Identity of a phase plan: everything profilePhases' result depends
@@ -319,7 +297,7 @@ samplePlanFor(const SimConfig &cfg, const std::vector<std::string> &programs)
     if (hit != plans.end())
         return hit->second;
 
-    const auto gens = makeStreams(cfg, programs);
+    const auto gens = makeStreams(cfg.seed, programs);
     std::vector<const trace::TraceSource *> streams;
     for (const auto &g : gens)
         streams.push_back(g.get());

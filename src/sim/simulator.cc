@@ -73,6 +73,20 @@ SimResult::executedTotal() const
     return sum;
 }
 
+std::vector<std::unique_ptr<trace::TraceGenerator>>
+makeStreams(std::uint64_t seed, const std::vector<std::string> &programs)
+{
+    std::vector<std::unique_ptr<trace::TraceGenerator>> gens;
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const std::uint64_t stream_seed =
+            hashCombine(seed, hashCombine(i + 1, 0x7261747321ULL));
+        const Addr base = (static_cast<Addr>(i) + 1) << 40; // 1 TiB apart
+        gens.push_back(std::make_unique<trace::TraceGenerator>(
+            trace::spec2000(programs[i]), stream_seed, base));
+    }
+    return gens;
+}
+
 Simulator::Simulator(SimConfig config, std::vector<std::string> programs)
     : config_(std::move(config)), programs_(std::move(programs))
 {
@@ -83,18 +97,10 @@ Simulator::Simulator(SimConfig config, std::vector<std::string> programs)
 
     mem_ = std::make_unique<mem::MemoryHierarchy>(config_.mem);
 
-    // Each program instance gets a private, widely separated address
-    // space (separate ASIDs) and a distinct seed.
+    gens_ = makeStreams(config_.seed, programs_);
     std::vector<const trace::TraceSource *> streams;
-    for (std::size_t i = 0; i < programs_.size(); ++i) {
-        const auto &profile = trace::spec2000(programs_[i]);
-        const std::uint64_t seed =
-            hashCombine(config_.seed, hashCombine(i + 1, 0x7261747321ULL));
-        const Addr base = (static_cast<Addr>(i) + 1) << 40; // 1 TiB apart
-        gens_.push_back(std::make_unique<trace::TraceGenerator>(
-            profile, seed, base));
-        streams.push_back(gens_.back().get());
-    }
+    for (const auto &gen : gens_)
+        streams.push_back(gen.get());
 
     policy_ = policy::makePolicy(config_.core.policy);
     core_ = std::make_unique<core::SmtCore>(config_.core, *mem_, *policy_,

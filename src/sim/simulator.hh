@@ -215,6 +215,16 @@ struct PhaseTiming {
 };
 
 /**
+ * The trace streams of a workload: one generator per program, each with
+ * its per-instance seed (from @p seed and the thread index) and a
+ * private address base 1 TiB from the next (separate ASIDs). Every
+ * Simulator builds its streams here, and so does the phase profiler,
+ * so the profiler sees exactly the streams the core runs.
+ */
+std::vector<std::unique_ptr<trace::TraceGenerator>>
+makeStreams(std::uint64_t seed, const std::vector<std::string> &programs);
+
+/**
  * One simulation instance: owns every component. Instances are fully
  * independent, so parameter sweeps may run many in parallel threads.
  */

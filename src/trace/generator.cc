@@ -33,6 +33,23 @@ draw(std::uint64_t seed, InstSeq idx, std::uint64_t salt)
     return splitmix64(seed ^ splitmix64(idx * 0x9e3779b97f4a7c15ULL + salt));
 }
 
+// Slot-table entry: one uint32_t per code word, holding the static
+// identity of the instruction at that word.
+//   [3:0]   op class, after the FP-data and lock/unlock refinement
+//   [5:4]   branch kind (BranchKind)
+//   [6]     easy-branch bias bit
+//   [9:7]   pattern period - 2
+//   [31:10] branch/call target word
+constexpr std::uint32_t kClassMask = 0xF;
+constexpr unsigned kKindShift = 4;
+constexpr unsigned kBiasShift = 6;
+constexpr unsigned kPeriodShift = 7;
+constexpr unsigned kTargetShift = 10;
+constexpr unsigned kTargetBits = 22;
+static_assert(kNumOpClasses <= 16, "op class must fit 4 bits");
+
+enum BranchKind : std::uint32_t { kEasy, kPattern, kRandom };
+
 // Salt constants for the independent random draws of one instruction.
 enum Salt : std::uint64_t {
     kSaltOp = 0x01,
@@ -90,8 +107,89 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
               p.name.c_str(), c);
 
     codeWords_ = p.codeBytes / 4;
+    if (codeWords_ > (std::uint32_t{1} << kTargetBits))
+        fatal("profile '%s': %u bytes of code exceed the %u-word slot "
+              "table",
+              p.name.c_str(), p.codeBytes, 1u << kTargetBits);
+    if (p.phaseInsts == 0)
+        fatal("profile '%s': phaseInsts must be non-zero", p.name.c_str());
     depSpread_ = std::max(
         1u, static_cast<unsigned>(2.0 * (p.meanDepDistance - 1.0) + 0.5));
+
+    phaseDiv_ = InvariantDivisor(p.phaseInsts);
+    loopDiv_ = InvariantDivisor(
+        std::max<std::uint32_t>(16, p.innerLoopBytes / 4));
+    codeDiv_ = InvariantDivisor(codeWords_);
+    // A zero chase period disables chasing, and a zero cold region is
+    // legal while the stream band (its only division) is empty.
+    if (p.chasePeriod != 0)
+        chaseDiv_ = InvariantDivisor(p.chasePeriod);
+    if (p.coldBytes != 0)
+        coldDiv_ = InvariantDivisor(p.coldBytes);
+    for (unsigned i = 0; i < 5; ++i)
+        periodDiv_[i] = InvariantDivisor(2 + i);
+}
+
+const std::uint32_t *
+TraceGenerator::slotTable() const
+{
+    if (!slotsReady_.load(std::memory_order_acquire)) {
+        std::call_once(slotsOnce_, [this] {
+            buildSlotTable();
+            slotsReady_.store(true, std::memory_order_release);
+        });
+    }
+    return slots_.data();
+}
+
+void
+TraceGenerator::buildSlotTable() const
+{
+    const auto &p = *profile_;
+    slots_.resize(codeWords_);
+    for (std::uint32_t word = 0; word < codeWords_; ++word) {
+        // Static instruction identity: the op class of a code slot is a
+        // pure function of its PC, like real code — the same slot is
+        // always a branch (or load, ...) on every loop iteration. This
+        // is what gives the branch predictor and BTB stable static
+        // branches.
+        OpClass cls = sampleOpClass(toUnit(draw(seed_, word, kSaltOp)));
+
+        // Decide the data-register class of memory ops (also static).
+        if (cls == OpClass::Load || cls == OpClass::Store) {
+            const bool fp_data =
+                toUnit(draw(seed_, word, kSaltFpMem)) < p.fpMemShare;
+            if (fp_data)
+                cls = (cls == OpClass::Load) ? OpClass::FpLoad
+                                             : OpClass::FpStore;
+        } else if (cls == OpClass::Lock) {
+            if (draw(seed_, word, kSaltSyncKind) & 1)
+                cls = OpClass::Unlock;
+        }
+        std::uint32_t entry = static_cast<std::uint32_t>(cls);
+
+        if (cls == OpClass::Branch || cls == OpClass::Call) {
+            // Static branch behaviour and target: a pure function of
+            // the PC.
+            const std::uint64_t pc_hash =
+                splitmix64((codeBase_ + 4 * Addr{word}) ^ seed_);
+            entry |= static_cast<std::uint32_t>(codeDiv_.mod(pc_hash >> 24))
+                     << kTargetShift;
+            if (cls == OpClass::Branch) {
+                const double u_cls = toUnit(pc_hash);
+                const BranchKind kind =
+                    u_cls < p.pEasyBranch ? kEasy
+                    : u_cls < p.pEasyBranch + p.pPatternBranch ? kPattern
+                                                               : kRandom;
+                entry |= kind << kKindShift;
+                entry |= static_cast<std::uint32_t>((pc_hash >> 8) & 1)
+                         << kBiasShift;
+                entry |= static_cast<std::uint32_t>((pc_hash >> 16) % 5)
+                         << kPeriodShift;
+            }
+        }
+        slots_[word] = entry;
+    }
 }
 
 OpClass
@@ -130,7 +228,7 @@ TraceGenerator::depDistance(std::uint64_t h) const
 }
 
 Addr
-TraceGenerator::dataAddress(InstSeq idx, std::uint64_t h) const
+TraceGenerator::dataAddress(InstSeq idx) const
 {
     const auto &p = *profile_;
     const double u = toUnit(draw(seed_, idx, kSaltAddrMix));
@@ -151,40 +249,35 @@ TraceGenerator::dataAddress(InstSeq idx, std::uint64_t h) const
         const auto advance =
             static_cast<std::uint64_t>(p.streamBytesPerInst *
                                        static_cast<double>(idx));
-        addr = streamBase_ + advance % p.coldBytes;
+        addr = streamBase_ + coldDiv_.mod(advance);
     } else {
         addr = coldBase_ + bounded(off_draw, p.coldBytes);
     }
-    (void)h;
     return addr & ~Addr{7}; // 8-byte aligned accesses
 }
 
 MicroOp
 TraceGenerator::at(InstSeq idx) const
 {
+    const std::uint32_t *slots = slotTable();
     const auto &p = *profile_;
     MicroOp op;
     op.seq = idx;
     // Phase-based PC stream: iterate a hot inner loop for phaseInsts
     // instructions, then jump to a different region of the footprint.
-    {
-        const std::uint64_t phase = idx / p.phaseInsts;
-        const std::uint32_t loop_words =
-            std::max<std::uint32_t>(16, p.innerLoopBytes / 4);
-        const std::uint64_t phase_word =
-            bounded(draw(seed_, phase, kSaltPhase), codeWords_) &
-            ~std::uint64_t{15}; // line-aligned phase entry point
-        const std::uint64_t word =
-            (phase_word + idx % loop_words) % codeWords_;
-        op.pc = codeBase_ + 4 * word;
-    }
+    const std::uint64_t phase = phaseDiv_.div(idx);
+    const std::uint64_t phase_word =
+        bounded(draw(seed_, phase, kSaltPhase), codeWords_) &
+        ~std::uint64_t{15}; // line-aligned phase entry point
+    const std::uint64_t word = codeDiv_.mod(phase_word + loopDiv_.mod(idx));
+    op.pc = codeBase_ + 4 * word;
     op.memSize = 8;
 
     // Pointer-chase loads occur on a fixed period so that the previous
     // chase load's index (and thus its destination register) is computable
     // without generator state.
-    const bool is_chase = p.chasePeriod != 0 && idx % p.chasePeriod == 0 &&
-                          idx >= p.chasePeriod;
+    const std::uint64_t chase = p.chasePeriod != 0 ? chaseDiv_.div(idx) : 0;
+    const bool is_chase = chase != 0 && idx == chase * p.chasePeriod;
     if (is_chase) {
         op.op = OpClass::Load;
         op.hasDst = true;
@@ -192,31 +285,13 @@ TraceGenerator::at(InstSeq idx) const
         op.dst = rotReg(idx);
         op.srcInt[0] = rotReg(idx - p.chasePeriod);
         op.numSrcInt = 1;
-        const std::uint64_t chain = draw(seed_, idx / p.chasePeriod,
-                                         kSaltChase);
+        const std::uint64_t chain = draw(seed_, chase, kSaltChase);
         op.effAddr = (chaseBase_ + bounded(chain, p.chaseBytes)) & ~Addr{7};
         return op;
     }
 
-    // Static instruction identity: the op class of a code slot is a
-    // pure function of its PC, like real code — the same slot is always
-    // a branch (or load, ...) on every loop iteration. This is what
-    // gives the branch predictor and BTB stable static branches.
-    const std::uint64_t slot = (op.pc - codeBase_) / 4;
-    const double u_op = toUnit(draw(seed_, slot, kSaltOp));
-    OpClass cls = sampleOpClass(u_op);
-
-    // Decide the data-register class of memory ops (also static).
-    if (cls == OpClass::Load || cls == OpClass::Store) {
-        const bool fp_data =
-            toUnit(draw(seed_, slot, kSaltFpMem)) < p.fpMemShare;
-        if (fp_data)
-            cls = (cls == OpClass::Load) ? OpClass::FpLoad
-                                         : OpClass::FpStore;
-    } else if (cls == OpClass::Lock) {
-        if (draw(seed_, slot, kSaltSyncKind) & 1)
-            cls = OpClass::Unlock;
-    }
+    const std::uint32_t entry = slots[word];
+    const auto cls = static_cast<OpClass>(entry & kClassMask);
     op.op = cls;
 
     const std::uint64_t h1 = draw(seed_, idx, kSaltDep1);
@@ -256,7 +331,7 @@ TraceGenerator::at(InstSeq idx) const
         op.hasDst = true;
         op.dstIsFp = false;
         op.dst = rotReg(idx);
-        op.effAddr = dataAddress(idx, h2);
+        op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::FpLoad:
@@ -265,14 +340,14 @@ TraceGenerator::at(InstSeq idx) const
         op.hasDst = true;
         op.dstIsFp = true;
         op.dst = rotReg(idx);
-        op.effAddr = dataAddress(idx, h2);
+        op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::Store:
         op.srcInt[0] = int_src(d1); // address base
         op.srcInt[1] = int_src(d2); // data
         op.numSrcInt = 2;
-        op.effAddr = dataAddress(idx, h2);
+        op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::FpStore:
@@ -280,42 +355,41 @@ TraceGenerator::at(InstSeq idx) const
         op.numSrcInt = 1;
         op.srcFp[0] = int_src(d2); // data
         op.numSrcFp = 1;
-        op.effAddr = dataAddress(idx, h2);
+        op.effAddr = dataAddress(idx);
         break;
 
-      case OpClass::Branch: {
+      case OpClass::Branch:
         op.srcInt[0] = int_src(d1); // condition register
         op.numSrcInt = 1;
-        // Static-branch behaviour class is a pure function of the PC.
-        const std::uint64_t pc_hash = splitmix64(op.pc ^ seed_);
-        const double u_cls = toUnit(pc_hash);
-        const std::uint64_t h_dir = draw(seed_, idx, kSaltBranch);
-        if (u_cls < p.pEasyBranch) {
-            const double bias =
-                (pc_hash >> 8) & 1 ? p.easyBias : 1.0 - p.easyBias;
-            op.taken = toUnit(h_dir) < bias;
-        } else if (u_cls < p.pEasyBranch + p.pPatternBranch) {
-            const unsigned period = 2 + static_cast<unsigned>(
-                                            (pc_hash >> 16) % 5);
-            op.taken = (idx % period) * 2 < period;
-        } else {
-            op.taken = h_dir & 1;
+        switch ((entry >> kKindShift) & 3) {
+          case kEasy: {
+            const double bias = (entry >> kBiasShift) & 1
+                                    ? p.easyBias
+                                    : 1.0 - p.easyBias;
+            op.taken = toUnit(draw(seed_, idx, kSaltBranch)) < bias;
+            break;
+          }
+          case kPattern: {
+            const unsigned period = 2 + ((entry >> kPeriodShift) & 7);
+            op.taken = periodDiv_[period - 2].mod(idx) * 2 < period;
+            break;
+          }
+          default: // kRandom
+            op.taken = draw(seed_, idx, kSaltBranch) & 1;
+            break;
         }
-        op.target = codeBase_ + 4 * ((pc_hash >> 24) % codeWords_);
+        op.target = codeBase_ + 4 * Addr{entry >> kTargetShift};
         break;
-      }
 
-      case OpClass::Call: {
+      case OpClass::Call:
         op.srcInt[0] = int_src(d1);
         op.numSrcInt = 1;
         op.hasDst = true; // link register write
         op.dstIsFp = false;
         op.dst = rotReg(idx);
-        const std::uint64_t pc_hash = splitmix64(op.pc ^ seed_);
         op.taken = true;
-        op.target = codeBase_ + 4 * ((pc_hash >> 24) % codeWords_);
+        op.target = codeBase_ + 4 * Addr{entry >> kTargetShift};
         break;
-      }
 
       case OpClass::Return:
         op.srcInt[0] = int_src(d1);
@@ -324,7 +398,7 @@ TraceGenerator::at(InstSeq idx) const
         // Model: return to the point after some earlier call site; the
         // RAS supplies this in hardware, so the trace target matches the
         // RAS prediction whenever the stack is balanced.
-        op.target = codeBase_ + 4 * ((idx * 7 + 3) % codeWords_);
+        op.target = codeBase_ + 4 * codeDiv_.mod(idx * 7 + 3);
         break;
 
       case OpClass::Lock:

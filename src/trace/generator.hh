@@ -21,8 +21,12 @@
 #ifndef RAT_TRACE_GENERATOR_HH
 #define RAT_TRACE_GENERATOR_HH
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
+#include "common/intmath.hh"
 #include "common/types.hh"
 #include "trace/microop.hh"
 #include "trace/profile.hh"
@@ -33,7 +37,12 @@ namespace rat::trace {
 /**
  * Synthesizes the dynamic micro-op stream of one program instance.
  *
- * Thread-safe for concurrent `at()` calls (const, no mutable state).
+ * Thread-safe for concurrent `at()` calls. The only mutable state is
+ * the static code-slot table, which the first `at()` builds for the
+ * whole code footprint under `std::call_once`; later calls see it
+ * through an acquire load of the ready flag. The table is a pure
+ * function of (profile, seed), so who builds it cannot change a result.
+ * Not copyable or movable (hold it by pointer, as the core does).
  */
 class TraceGenerator : public TraceSource
 {
@@ -75,7 +84,17 @@ class TraceGenerator : public TraceSource
     }
 
     /** Effective address for a non-chase memory access. */
-    Addr dataAddress(InstSeq idx, std::uint64_t h) const;
+    Addr dataAddress(InstSeq idx) const;
+
+    /** The slot table, built on first use. */
+    const std::uint32_t *slotTable() const;
+
+    /**
+     * Fill slots_: per code word, the static identity at() would
+     * otherwise rehash from the word every instruction (layout in
+     * generator.cc).
+     */
+    void buildSlotTable() const;
 
     const BenchmarkProfile *profile_;
     std::uint64_t seed_;
@@ -95,6 +114,18 @@ class TraceGenerator : public TraceSource
 
     std::uint32_t codeWords_;
     unsigned depSpread_;
+
+    // Reciprocals of at()'s runtime-invariant divisors.
+    InvariantDivisor phaseDiv_;     ///< phaseInsts
+    InvariantDivisor loopDiv_;      ///< inner-loop words
+    InvariantDivisor codeDiv_;      ///< codeWords_
+    InvariantDivisor chaseDiv_;     ///< chasePeriod (if chasing)
+    InvariantDivisor coldDiv_;      ///< coldBytes (if non-zero)
+    InvariantDivisor periodDiv_[5]; ///< pattern-branch periods 2..6
+
+    mutable std::vector<std::uint32_t> slots_; ///< one entry per word
+    mutable std::once_flag slotsOnce_;
+    mutable std::atomic<bool> slotsReady_{false};
 };
 
 } // namespace rat::trace
