@@ -18,21 +18,19 @@ main()
            "of FP work in runahead, since effective addresses only need "
            "the integer pipeline");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     sim::TechniqueSpec no_drop = sim::ratSpec();
     no_drop.label = "RaT-execFP";
     no_drop.rat.dropFpInRunahead = false;
+    const auto grid = runGrid(benchSpec({sim::ratSpec(), no_drop}));
 
     std::printf("\n%-8s %14s %14s %10s\n", "group", "RaT(drop FP)",
                 "RaT(exec FP)", "delta(%)");
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const double drop =
-            runner.runGroup(g, sim::ratSpec()).meanThroughput;
-        const double exec = runner.runGroup(g, no_drop).meanThroughput;
-        std::printf("%-8s %14.3f %14.3f %+9.1f%%\n", sim::groupName(g),
-                    drop, exec, pct(drop, exec));
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const double drop = grid[0][g].meanThroughput;
+        const double exec = grid[1][g].meanThroughput;
+        std::printf("%-8s %14.3f %14.3f %+9.1f%%\n",
+                    sim::groupName(sim::allGroups()[g]), drop, exec,
+                    pct(drop, exec));
     }
     return 0;
 }

@@ -17,24 +17,21 @@ main()
            "difference should be insignificant (the paper omits the "
            "runahead cache from RaT based on this result)");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     sim::TechniqueSpec with_rc = sim::ratSpec();
     with_rc.label = "RaT+RAcache";
     with_rc.rat.useRunaheadCache = true;
+    const auto grid = runGrid(benchSpec({sim::ratSpec(), with_rc}));
 
     std::printf("\n%-8s %14s %14s %10s\n", "group", "RaT", "RaT+RAcache",
                 "delta(%)");
     double worst = 0.0;
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const double base =
-            runner.runGroup(g, sim::ratSpec()).meanThroughput;
-        const double rc = runner.runGroup(g, with_rc).meanThroughput;
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const double base = grid[0][g].meanThroughput;
+        const double rc = grid[1][g].meanThroughput;
         const double d = pct(rc, base);
         worst = std::max(worst, std::abs(d));
-        std::printf("%-8s %14.3f %14.3f %+9.1f%%\n", sim::groupName(g),
-                    base, rc, d);
+        std::printf("%-8s %14.3f %14.3f %+9.1f%%\n",
+                    sim::groupName(sim::allGroups()[g]), base, rc, d);
     }
     std::printf("\nlargest group-level |delta|: %.1f%% (paper: "
                 "insignificant)\n", worst);

@@ -1,8 +1,10 @@
 /**
  * @file
  * Shared plumbing for the figure/table reproduction benches: default
- * configuration with environment-variable scaling, tabular output
- * helpers that print the same rows/series the paper reports, and a
+ * configuration with environment-variable scaling, each bench's grid
+ * as one campaign (sim/campaign.hh), so cells that share a prewarm
+ * walk it once, tabular output helpers that print the same
+ * rows/series the paper reports, and a
  * BenchReport collector that mirrors those tables into a structured
  * `BENCH_<name>.json` artifact through the report layer.
  *
@@ -10,7 +12,7 @@
  *   RATSIM_WARMUP      warm-up cycles per run         (default 15000)
  *   RATSIM_MEASURE     measured cycles per run        (default 60000)
  *   RATSIM_PREWARM     functional warm-up insts/thread (default 1M)
- *   RATSIM_JOBS        parallel simulations           (default: hw threads)
+ *   RATSIM_JOBS        CampaignSpec::parallelism      (default: hw threads)
  *   RATSIM_REPORT_DIR  where BENCH_*.json artifacts go (default ".")
  */
 
@@ -22,11 +24,12 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parse.hh"
 #include "report/json.hh"
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "sim/metrics.hh"
 #include "sim/workloads.hh"
 
@@ -54,13 +57,35 @@ benchConfig()
     return cfg;
 }
 
-/** Apply the RATSIM_JOBS override to a runner. */
-inline void
-applyJobs(sim::ExperimentRunner &runner)
+/**
+ * @p lineup over every Table 2 group on @p base, as one campaign whose
+ * parallelism RATSIM_JOBS sets.
+ */
+inline sim::CampaignSpec
+benchSpec(std::vector<sim::TechniqueSpec> lineup,
+          sim::SimConfig base = benchConfig())
 {
-    const std::uint64_t jobs = envU64("RATSIM_JOBS", 0);
-    if (jobs > 0)
-        runner.setParallelism(static_cast<unsigned>(jobs));
+    sim::CampaignSpec spec;
+    spec.base = std::move(base);
+    spec.techniques = std::move(lineup);
+    spec.groups = sim::allGroups();
+    spec.parallelism = static_cast<unsigned>(envU64("RATSIM_JOBS", 0));
+    return spec;
+}
+
+/**
+ * Run a benchSpec and fold it into group metrics: grid[t][g] is
+ * technique t on group g. Only @p with_fairness runs the single-thread
+ * baselines that Eq. 2 needs.
+ */
+inline std::vector<std::vector<sim::GroupMetrics>>
+runGrid(const sim::CampaignSpec &spec, bool with_fairness = false)
+{
+    sim::CampaignOutcome baselines;
+    if (with_fairness)
+        baselines = sim::runCampaign(sim::baselineSpec(spec));
+    return sim::groupMetrics(spec, sim::runCampaign(spec),
+                             with_fairness ? &baselines : nullptr);
 }
 
 /** Print the standard bench banner. */

@@ -20,23 +20,21 @@ main()
            "where speculative runahead work would otherwise crowd out "
            "normal threads");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     const sim::TechniqueSpec hybrid{"RaT+DCRA",
                                     core::PolicyKind::RatDcra,
                                     core::RatConfig{}};
+    const auto grid =
+        runGrid(benchSpec({sim::dcraSpec(), sim::ratSpec(), hybrid}));
 
     std::printf("\n%-8s %12s %12s %12s %10s\n", "group", "DCRA", "RaT",
                 "RaT+DCRA", "vs RaT");
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const double dcra =
-            runner.runGroup(g, sim::dcraSpec()).meanThroughput;
-        const double rat =
-            runner.runGroup(g, sim::ratSpec()).meanThroughput;
-        const double both = runner.runGroup(g, hybrid).meanThroughput;
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const double dcra = grid[0][g].meanThroughput;
+        const double rat = grid[1][g].meanThroughput;
+        const double both = grid[2][g].meanThroughput;
         std::printf("%-8s %12.3f %12.3f %12.3f %+9.1f%%\n",
-                    sim::groupName(g), dcra, rat, both, pct(both, rat));
+                    sim::groupName(sim::allGroups()[g]), dcra, rat, both,
+                    pct(both, rat));
     }
     return 0;
 }

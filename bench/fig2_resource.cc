@@ -18,9 +18,6 @@ main()
            "RaT above both everywhere, biggest on MEM (~+75%/+53% vs "
            "DCRA/HillClimbing in the paper)");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     const std::vector<sim::TechniqueSpec> lineup = {
         sim::icountSpec(), sim::dcraSpec(), sim::hillClimbingSpec(),
         sim::ratSpec()};
@@ -31,13 +28,13 @@ main()
     std::map<std::string, std::vector<double>> thr_rows, fair_rows;
     std::vector<std::string> group_order;
 
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const std::string gname = sim::groupName(g);
+    const auto grid = runGrid(benchSpec(lineup), /*with_fairness=*/true);
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const std::string gname = sim::groupName(sim::allGroups()[g]);
         group_order.push_back(gname);
-        for (const auto &tech : lineup) {
-            const sim::GroupMetrics gm = runner.runGroup(g, tech);
-            thr_rows[gname].push_back(gm.meanThroughput);
-            fair_rows[gname].push_back(gm.meanFairness);
+        for (std::size_t t = 0; t < lineup.size(); ++t) {
+            thr_rows[gname].push_back(grid[t][g].meanThroughput);
+            fair_rows[gname].push_back(grid[t][g].meanFairness);
         }
     }
 

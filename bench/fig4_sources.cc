@@ -57,9 +57,6 @@ main()
            "resource availability small (~3% avg, ~22% on MIX); "
            "co-runner overhead negligible (~4%)");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     sim::TechniqueSpec rat_nopf = sim::ratSpec();
     rat_nopf.label = "RaT-noPF";
     rat_nopf.rat.disablePrefetch = true;
@@ -68,19 +65,20 @@ main()
     rat_nofetch.label = "RaT-noFetch";
     rat_nofetch.rat.noFetchInRunahead = true;
 
+    const auto grid = runGrid(benchSpec(
+        {sim::stallSpec(), sim::ratSpec(), rat_nopf, rat_nofetch}));
+
     std::printf("\n%-8s %14s %18s %16s\n", "group", "prefetch(%)",
                 "resource-avail(%)", "overhead(%)");
 
     double sum_pf = 0.0, sum_ra = 0.0, sum_ov = 0.0;
     unsigned n_ov = 0;
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const sim::GroupMetrics m_stall =
-            runner.runGroup(g, sim::stallSpec());
-        const sim::GroupMetrics m_rat =
-            runner.runGroup(g, sim::ratSpec());
-        const sim::GroupMetrics m_nopf = runner.runGroup(g, rat_nopf);
-        const sim::GroupMetrics m_nofetch =
-            runner.runGroup(g, rat_nofetch);
+    for (std::size_t gi = 0; gi < sim::allGroups().size(); ++gi) {
+        const sim::WorkloadGroup g = sim::allGroups()[gi];
+        const sim::GroupMetrics &m_stall = grid[0][gi];
+        const sim::GroupMetrics &m_rat = grid[1][gi];
+        const sim::GroupMetrics &m_nopf = grid[2][gi];
+        const sim::GroupMetrics &m_nofetch = grid[3][gi];
 
         // Prefetching contribution: full RaT over prefetch-less RaT.
         const double prefetch =

@@ -17,14 +17,12 @@ main()
            "runahead mode holds markedly fewer registers; on MEM "
            "workloads less than half of normal mode");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
+    const auto grid = runGrid(benchSpec({sim::ratSpec()}));
 
     std::printf("\n%-8s %14s %16s %10s\n", "group", "normal-mode",
                 "runahead-mode", "ratio");
 
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const sim::GroupMetrics gm = runner.runGroup(g, sim::ratSpec());
+    for (const sim::GroupMetrics &gm : grid[0]) {
         // Per-thread average register occupancy, aggregated over all
         // threads of all workloads in the group, weighted by cycles.
         double normal_reg_cycles = 0.0, normal_cycles = 0.0;
@@ -44,8 +42,8 @@ main()
             normal_cycles > 0 ? normal_reg_cycles / normal_cycles : 0.0;
         const double avg_ra =
             ra_cycles > 0 ? ra_reg_cycles / ra_cycles : 0.0;
-        std::printf("%-8s %14.1f %16.1f %9.2fx\n", sim::groupName(g),
-                    avg_normal, avg_ra,
+        std::printf("%-8s %14.1f %16.1f %9.2fx\n",
+                    sim::groupName(gm.group), avg_normal, avg_ra,
                     avg_normal > 0 ? avg_ra / avg_normal : 0.0);
     }
 

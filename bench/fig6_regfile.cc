@@ -33,30 +33,23 @@ main()
     for (const sim::WorkloadGroup g : sim::allGroups())
         group_order.push_back(sim::groupName(g));
 
+    // One campaign per size: cells of different sizes never share a
+    // prewarm identity. The FLUSH columns come before the RaT ones.
+    std::map<std::string, std::vector<double>> rat_cols;
     for (const unsigned size : sizes) {
         sim::SimConfig cfg = benchConfig();
         cfg.core.intRegs = size;
         cfg.core.fpRegs = size;
-        sim::ExperimentRunner runner(cfg);
-        applyJobs(runner);
-        for (const sim::WorkloadGroup g : sim::allGroups()) {
-            const std::string gname = sim::groupName(g);
-            rows[gname].push_back(
-                runner.runGroup(g, sim::flushSpec()).meanThroughput);
+        const auto grid =
+            runGrid(benchSpec({sim::flushSpec(), sim::ratSpec()}, cfg));
+        for (std::size_t g = 0; g < group_order.size(); ++g) {
+            rows[group_order[g]].push_back(grid[0][g].meanThroughput);
+            rat_cols[group_order[g]].push_back(grid[1][g].meanThroughput);
         }
     }
-    for (const unsigned size : sizes) {
-        sim::SimConfig cfg = benchConfig();
-        cfg.core.intRegs = size;
-        cfg.core.fpRegs = size;
-        sim::ExperimentRunner runner(cfg);
-        applyJobs(runner);
-        for (const sim::WorkloadGroup g : sim::allGroups()) {
-            const std::string gname = sim::groupName(g);
-            rows[gname].push_back(
-                runner.runGroup(g, sim::ratSpec()).meanThroughput);
-        }
-    }
+    for (const auto &g : group_order)
+        rows[g].insert(rows[g].end(), rat_cols[g].begin(),
+                       rat_cols[g].end());
 
     printGroupTable("Fig. 6 Throughput (Eq. 1 IPC) by register-file size",
                     labels, rows, group_order);

@@ -20,23 +20,20 @@ main()
            "MLP extends beyond the bounded window (streaming MEM "
            "workloads)");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     const sim::TechniqueSpec mlp{"MLP", core::PolicyKind::MlpAware,
                                  core::RatConfig{}};
+    const auto grid =
+        runGrid(benchSpec({sim::stallSpec(), mlp, sim::ratSpec()}));
 
     std::printf("\n%-8s %12s %12s %12s %12s\n", "group", "STALL", "MLP",
                 "RaT", "RaT vs MLP");
-    for (const sim::WorkloadGroup g : sim::allGroups()) {
-        const double stall =
-            runner.runGroup(g, sim::stallSpec()).meanThroughput;
-        const double mlp_thr = runner.runGroup(g, mlp).meanThroughput;
-        const double rat =
-            runner.runGroup(g, sim::ratSpec()).meanThroughput;
+    for (std::size_t g = 0; g < sim::allGroups().size(); ++g) {
+        const double stall = grid[0][g].meanThroughput;
+        const double mlp_thr = grid[1][g].meanThroughput;
+        const double rat = grid[2][g].meanThroughput;
         std::printf("%-8s %12.3f %12.3f %12.3f %+11.1f%%\n",
-                    sim::groupName(g), stall, mlp_thr, rat,
-                    pct(rat, mlp_thr));
+                    sim::groupName(sim::allGroups()[g]), stall, mlp_thr,
+                    rat, pct(rat, mlp_thr));
     }
     return 0;
 }

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "bench/bench_util.hh"
-#include "sim/simulator.hh"
 #include "trace/profile.hh"
 
 int
@@ -22,9 +21,6 @@ main()
            "memory-bound; gzip/gcc/eon/... are ILP; MIX pairs one of "
            "each");
 
-    sim::ExperimentRunner runner(benchConfig());
-    applyJobs(runner);
-
     struct Row {
         std::string name;
         double ipc;
@@ -33,11 +29,15 @@ main()
     std::vector<Row> rows;
 
     // Characterize every program in a single-threaded processor, the
-    // paper's methodology for building Table 2.
+    // paper's methodology for building Table 2: the single-thread
+    // baselines of the Table 2 groups, in allPrograms() order.
+    std::map<std::string, sim::ThreadResult> single;
+    for (const sim::CampaignCell &cell : sim::runCampaign(
+             sim::baselineSpec(benchSpec({sim::icountSpec()}))).cells)
+        single.emplace(cell.programs.front(), cell.result.threads.at(0));
     for (const std::string &prog : sim::allPrograms()) {
-        sim::Simulator s(runner.configFor(sim::icountSpec(), 1), {prog});
-        const sim::SimResult r = s.run();
-        rows.push_back({prog, r.threads[0].ipc, r.threads[0].l2Mpki});
+        const sim::ThreadResult &t = single.at(prog);
+        rows.push_back({prog, t.ipc, t.l2Mpki});
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row &a, const Row &b) { return a.mpki > b.mpki; });

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "trace/profile.hh"
 
 int
@@ -35,28 +35,27 @@ main(int argc, char **argv)
     if (programs.empty())
         programs = {"art", "mcf"};
 
-    sim::SimConfig cfg;
-    cfg.warmupCycles = 20000;
-    cfg.measureCycles = 100000;
-    sim::ExperimentRunner runner(cfg);
-
-    sim::Workload w;
-    w.programs = programs;
-    for (const auto &p : programs)
-        w.name += (w.name.empty() ? "" : ",") + p;
-
-    const auto base = runner.baselinesFor(w);
-    std::printf("workload: %s\n\n", w.name.c_str());
-    std::printf("%-14s %12s %10s %14s\n", "technique", "throughput",
-                "fairness", "per-thread IPC");
-
-    const std::vector<sim::TechniqueSpec> lineup = {
+    // One campaign: the lineup on the workload, plus the
+    // single-thread baselines Eq. 2 fairness needs.
+    sim::CampaignSpec spec;
+    spec.base.warmupCycles = 20000;
+    spec.base.measureCycles = 100000;
+    spec.techniques = {
         sim::icountSpec(),       sim::stallSpec(), sim::flushSpec(),
         sim::dcraSpec(),         sim::hillClimbingSpec(),
         sim::ratSpec(),
     };
-    for (const auto &tech : lineup) {
-        const sim::SimResult r = runner.runWorkload(w, tech);
+    spec.workloads = {sim::Workload::fromPrograms(programs)};
+    const sim::BaselineIpcMap base =
+        sim::baselineIpcs(sim::runCampaign(sim::baselineSpec(spec)));
+    const sim::CampaignOutcome outcome = sim::runCampaign(spec);
+
+    std::printf("workload: %s\n\n", spec.workloads[0].name.c_str());
+    std::printf("%-14s %12s %10s %14s\n", "technique", "throughput",
+                "fairness", "per-thread IPC");
+
+    for (const sim::CampaignCell &cell : outcome.cells) {
+        const sim::SimResult &r = cell.result;
         std::string ipcs;
         for (const auto &t : r.threads) {
             char buf[32];
@@ -64,7 +63,7 @@ main(int argc, char **argv)
                           ipcs.empty() ? "" : "/", t.ipc);
             ipcs += buf;
         }
-        std::printf("%-14s %12.3f %10.3f %14s\n", tech.label.c_str(),
+        std::printf("%-14s %12.3f %10.3f %14s\n", cell.technique.c_str(),
                     sim::throughput(r), sim::fairness(r, base),
                     ipcs.c_str());
     }

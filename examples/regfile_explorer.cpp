@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "trace/profile.hh"
 
 int
@@ -31,29 +31,26 @@ main(int argc, char **argv)
     if (programs.empty())
         programs = {"art", "mcf"};
 
-    sim::Workload w;
-    w.programs = programs;
-    for (const auto &p : programs)
-        w.name += (w.name.empty() ? "" : ",") + p;
+    // One campaign over the register axis: cells are FLUSH at every
+    // size, then RaT at every size.
+    sim::CampaignSpec spec;
+    spec.base.warmupCycles = 15000;
+    spec.base.measureCycles = 60000;
+    spec.techniques = {sim::flushSpec(), sim::ratSpec()};
+    spec.workloads = {sim::Workload::fromPrograms(programs)};
+    spec.regsAxis = {64, 128, 192, 256, 320};
+    const sim::CampaignOutcome outcome = sim::runCampaign(spec);
 
-    const unsigned sizes[] = {64, 128, 192, 256, 320};
-
-    std::printf("workload: %s\n\n", w.name.c_str());
+    std::printf("workload: %s\n\n", spec.workloads[0].name.c_str());
     std::printf("%8s %12s %12s %12s\n", "regs", "FLUSH", "RaT",
                 "RaT/FLUSH");
-    for (const unsigned regs : sizes) {
-        sim::SimConfig cfg;
-        cfg.warmupCycles = 15000;
-        cfg.measureCycles = 60000;
-        cfg.core.intRegs = regs;
-        cfg.core.fpRegs = regs;
-        sim::ExperimentRunner runner(cfg);
-        const double flush =
-            sim::throughput(runner.runWorkload(w, sim::flushSpec()));
+    const std::size_t sizes = spec.regsAxis.size();
+    for (std::size_t i = 0; i < sizes; ++i) {
+        const double flush = sim::throughput(outcome.cells[i].result);
         const double rat =
-            sim::throughput(runner.runWorkload(w, sim::ratSpec()));
-        std::printf("%8u %12.3f %12.3f %11.2fx\n", regs, flush, rat,
-                    flush > 0 ? rat / flush : 0.0);
+            sim::throughput(outcome.cells[sizes + i].result);
+        std::printf("%8u %12.3f %12.3f %11.2fx\n", spec.regsAxis[i],
+                    flush, rat, flush > 0 ? rat / flush : 0.0);
     }
     std::printf("\nPaper's claim (Section 6.2): RaT with small register"
                 " files stays close to (or above)\nFLUSH with the full"

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -46,8 +47,6 @@ expandCampaign(const CampaignSpec &spec)
     RAT_ASSERT(!workloads.empty(),
                "campaign needs at least one group or workload");
 
-    const auto variants =
-        axisOrDefault(spec.raVariantAxis, spec.base.core.rat.variant);
     const auto regs =
         axisOrDefault(spec.regsAxis, spec.base.core.intRegs);
     const auto robs = axisOrDefault(spec.robAxis, spec.base.core.robEntries);
@@ -57,15 +56,19 @@ expandCampaign(const CampaignSpec &spec)
 
     std::vector<CampaignCell> cells;
     cells.reserve(spec.techniques.size() * workloads.size() *
-                  variants.size() * regs.size() * robs.size() *
+                  std::max<std::size_t>(spec.raVariantAxis.size(), 1) *
+                  regs.size() * robs.size() *
                   measures.size() * seeds.size());
     for (const TechniqueSpec &tech : spec.techniques) {
-        // The runahead engine is inert for non-runahead techniques, so
-        // every variant cell would be a bit-identical re-simulation
-        // under a distinct cache key; collapse them to one cell.
-        const std::vector<runahead::RaVariant> inert{tech.rat.variant};
+        // An empty variant axis keeps the technique's variant. The
+        // runahead engine is inert for non-runahead techniques, so every
+        // variant cell would be a bit-identical re-simulation under a
+        // distinct cache key; collapse them to one cell.
+        const std::vector<runahead::RaVariant> own{tech.rat.variant};
         const auto &tech_variants =
-            core::runaheadEnabled(tech.policy) ? variants : inert;
+            core::runaheadEnabled(tech.policy) && !spec.raVariantAxis.empty()
+                ? spec.raVariantAxis
+                : own;
         for (const auto &[group, workload] : workloads) {
             for (const runahead::RaVariant variant : tech_variants) {
                 for (const unsigned r : regs) {
@@ -84,15 +87,14 @@ expandCampaign(const CampaignSpec &spec)
                                 cell.seed = seed;
                                 cell.programs = workload->programs;
 
-                                SimConfig cfg = spec.base;
-                                cfg.core.numThreads =
+                                SimConfig cfg = configFor(
+                                    spec.base, tech,
                                     static_cast<unsigned>(
-                                        workload->programs.size());
-                                cfg.core.policy = tech.policy;
-                                cfg.core.rat = tech.rat;
+                                        workload->programs.size()));
                                 cfg.core.rat.variant = variant;
                                 cfg.core.intRegs = r;
-                                cfg.core.fpRegs = r;
+                                if (!spec.regsAxis.empty())
+                                    cfg.core.fpRegs = r;
                                 cfg.core.robEntries = rob;
                                 cfg.measureCycles = measure;
                                 cfg.seed = seed;
@@ -287,6 +289,92 @@ runCampaign(const CampaignSpec &spec)
 
     fanOutDuplicates(outcome, plan.pending);
     return outcome;
+}
+
+CampaignSpec
+baselineSpec(const CampaignSpec &spec)
+{
+    CampaignSpec st = spec;
+    st.base.traceOut.clear();
+    st.techniques = {icountSpec()};
+    st.groups.clear();
+    st.workloads.clear();
+    std::set<std::string> seen;
+    const auto addPrograms = [&st, &seen](const Workload &w) {
+        for (const std::string &p : w.programs) {
+            if (seen.insert(p).second)
+                st.workloads.push_back(Workload::fromPrograms({p}));
+        }
+    };
+    for (const WorkloadGroup g : spec.groups) {
+        for (const Workload &w : workloadsOf(g))
+            addPrograms(w);
+    }
+    for (const Workload &w : spec.workloads)
+        addPrograms(w);
+    return st;
+}
+
+BaselineIpcMap
+baselineIpcs(const CampaignOutcome &baselines)
+{
+    BaselineIpcMap ipcs;
+    for (const CampaignCell &cell : baselines.cells) {
+        RAT_ASSERT(cell.programs.size() == 1,
+                   "baseline cell '%s' is not single-threaded",
+                   cell.workload.c_str());
+        const bool fresh =
+            ipcs.emplace(cell.programs.front(),
+                         cell.result.threads.at(0).ipc)
+                .second;
+        RAT_ASSERT(fresh, "two baseline cells for '%s'",
+                   cell.workload.c_str());
+    }
+    return ipcs;
+}
+
+std::vector<std::vector<GroupMetrics>>
+groupMetrics(const CampaignSpec &spec, const CampaignOutcome &outcome,
+             const CampaignOutcome *baselines)
+{
+    RAT_ASSERT(spec.workloads.empty() && !spec.base.sampled &&
+                   spec.raVariantAxis.size() <= 1 &&
+                   spec.regsAxis.size() <= 1 && spec.robAxis.size() <= 1 &&
+                   spec.measureAxis.size() <= 1 &&
+                   spec.seedAxis.size() <= 1,
+               "group metrics need whole groups, exact runs and "
+               "single-valued axes");
+    const BaselineIpcMap ipcs =
+        baselines ? baselineIpcs(*baselines) : BaselineIpcMap{};
+
+    // Grid order: techniques, then groups, then each group's workloads.
+    std::vector<std::vector<GroupMetrics>> metrics;
+    std::size_t next = 0;
+    for (const TechniqueSpec &tech : spec.techniques) {
+        metrics.emplace_back();
+        for (const WorkloadGroup g : spec.groups) {
+            GroupMetrics gm;
+            gm.technique = tech.label;
+            gm.group = g;
+            std::vector<double> thr, fair, e;
+            for (std::size_t i = 0; i < workloadsOf(g).size(); ++i) {
+                const SimResult &r = outcome.cells.at(next++).result;
+                thr.push_back(throughput(r));
+                if (baselines)
+                    fair.push_back(fairness(r, ipcs));
+                e.push_back(ed2(r));
+                gm.results.push_back(r);
+            }
+            gm.meanThroughput = mean(thr);
+            gm.meanFairness = mean(fair);
+            gm.meanEd2 = mean(e);
+            metrics.back().push_back(std::move(gm));
+        }
+    }
+    RAT_ASSERT(next == outcome.cells.size(),
+               "outcome has %zu cells, the spec's groups %zu",
+               outcome.cells.size(), next);
+    return metrics;
 }
 
 CampaignOutcome

@@ -25,14 +25,16 @@
 #include "report/result_cache.hh"
 #include "runahead/variant.hh"
 #include "sim/experiment.hh"
+#include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "sim/workloads.hh"
 
 namespace rat::sim {
 
 /**
- * A declarative campaign. Empty axes mean "use the base config's
- * value"; the grid is the full cross product
+ * A declarative campaign. Each cell starts from configFor(base,
+ * technique, threads); a set axis overrides its field, and an empty
+ * one keeps that config's value. The grid is the full cross product
  *   techniques x (group workloads + explicit workloads)
  *              x ra-variants x regs x rob x measure x seeds.
  */
@@ -168,6 +170,32 @@ void fanOutDuplicates(CampaignOutcome &outcome,
  * and return everything in grid order.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec);
+
+/**
+ * The single-thread campaign behind Eq. 2 fairness: ICOUNT, one
+ * 1-thread cell per distinct program of @p spec (in order of first
+ * appearance), over the same base and axes. Its cells never write a
+ * trace.
+ */
+CampaignSpec baselineSpec(const CampaignSpec &spec);
+
+/**
+ * Program -> single-thread IPC of a finished baselineSpec campaign
+ * with single-valued axes (one cell per program).
+ */
+BaselineIpcMap baselineIpcs(const CampaignOutcome &baselines);
+
+/**
+ * Fold a finished campaign of whole Table 2 groups into group metrics
+ * in grid order: [t][g] is spec.techniques[t] on spec.groups[g]. Mean
+ * fairness needs @p baselines, the outcome of baselineSpec(@p spec);
+ * without it the fairness means are 0. Refuses explicit workloads,
+ * sampled runs and multi-valued axes, whose cells are not one run per
+ * group workload.
+ */
+std::vector<std::vector<GroupMetrics>>
+groupMetrics(const CampaignSpec &spec, const CampaignOutcome &outcome,
+             const CampaignOutcome *baselines = nullptr);
 
 /**
  * Collapse the per-sample cells of a sampled campaign into one merged

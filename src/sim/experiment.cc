@@ -5,8 +5,6 @@
 #include <mutex>
 #include <thread>
 
-#include "common/logging.hh"
-
 namespace rat::sim {
 
 TechniqueSpec
@@ -94,98 +92,15 @@ runParallel(const std::vector<std::function<void()>> &jobs,
         std::rethrow_exception(first);
 }
 
-ExperimentRunner::ExperimentRunner(SimConfig base) : base_(std::move(base))
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    parallelism_ = hw ? hw : 4;
-}
-
 SimConfig
-ExperimentRunner::configFor(const TechniqueSpec &tech,
-                            unsigned num_threads) const
+configFor(const SimConfig &base, const TechniqueSpec &tech,
+          unsigned num_threads)
 {
-    SimConfig cfg = base_;
+    SimConfig cfg = base;
     cfg.core.numThreads = num_threads;
     cfg.core.policy = tech.policy;
     cfg.core.rat = tech.rat;
     return cfg;
-}
-
-SimResult
-ExperimentRunner::runWorkload(const Workload &workload,
-                              const TechniqueSpec &tech) const
-{
-    Simulator sim(configFor(tech,
-                            static_cast<unsigned>(workload.programs.size())),
-                  workload.programs);
-    return sim.run();
-}
-
-double
-ExperimentRunner::singleThreadIpc(const std::string &program)
-{
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        const auto it = baselineCache_.find(program);
-        if (it != baselineCache_.end())
-            return it->second;
-    }
-    // Single-thread reference: plain ICOUNT processor, one context.
-    Simulator sim(configFor(icountSpec(), 1), {program});
-    const double ipc = sim.run().threads.at(0).ipc;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        baselineCache_.emplace(program, ipc);
-    }
-    return ipc;
-}
-
-BaselineIpcMap
-ExperimentRunner::baselinesFor(const Workload &workload)
-{
-    BaselineIpcMap map;
-    for (const std::string &p : workload.programs)
-        map.emplace(p, singleThreadIpc(p));
-    return map;
-}
-
-GroupMetrics
-ExperimentRunner::runGroup(WorkloadGroup group, const TechniqueSpec &tech)
-{
-    const auto &workloads = workloadsOf(group);
-
-    // Warm the baseline cache serially (deterministic, avoids duplicate
-    // work in the parallel section).
-    for (const Workload &w : workloads) {
-        for (const std::string &p : w.programs)
-            singleThreadIpc(p);
-    }
-
-    GroupMetrics gm;
-    gm.technique = tech.label;
-    gm.group = group;
-    gm.results.resize(workloads.size());
-
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        jobs.emplace_back([this, &workloads, &gm, &tech, i] {
-            gm.results[i] = runWorkload(workloads[i], tech);
-        });
-    }
-    runParallel(jobs, parallelism_);
-
-    std::vector<double> thr, fair, e;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const SimResult &r = gm.results[i];
-        thr.push_back(throughput(r));
-        fair.push_back(fairness(r, baselinesFor(workloads[i])));
-        e.push_back(ed2(r));
-    }
-    gm.meanThroughput = mean(thr);
-    gm.meanFairness = mean(fair);
-    gm.meanEd2 = mean(e);
-    return gm;
 }
 
 } // namespace rat::sim

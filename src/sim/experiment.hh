@@ -1,16 +1,15 @@
 /**
  * @file
- * Experiment runner shared by the bench binaries: runs (technique x
- * workload) grids with cached single-thread baselines and parallel
- * execution of independent simulations.
+ * The vocabulary of the paper's evaluation grid: techniques (a label
+ * plus a core-policy setting) and the figures' standard lineups, the
+ * one rule that turns a technique into a run config, per-group
+ * aggregates, and the worker pool campaigns (sim/campaign.hh) run on.
  */
 
 #ifndef RAT_SIM_EXPERIMENT_HH
 #define RAT_SIM_EXPERIMENT_HH
 
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,6 +35,14 @@ TechniqueSpec dcraSpec();
 TechniqueSpec hillClimbingSpec();
 TechniqueSpec ratSpec();
 
+/**
+ * Apply @p tech to a copy of @p base: its policy, its whole RaT
+ * config, and @p num_threads hardware threads. Every campaign cell
+ * starts from this config.
+ */
+SimConfig configFor(const SimConfig &base, const TechniqueSpec &tech,
+                    unsigned num_threads);
+
 /** Aggregated metrics of a technique over one workload group. */
 struct GroupMetrics {
     std::string technique;
@@ -44,56 +51,6 @@ struct GroupMetrics {
     double meanFairness = 0.0;
     double meanEd2 = 0.0;
     std::vector<SimResult> results; ///< one per workload in the group
-};
-
-/**
- * Shared runner. Thread-safe baseline cache; group runs farm the
- * independent simulations out to a pool of worker threads.
- */
-class ExperimentRunner
-{
-  public:
-    /**
-     * @param base Baseline configuration. Policy/RaT fields are
-     *             overridden per technique; numThreads per workload.
-     */
-    explicit ExperimentRunner(SimConfig base);
-
-    /** Apply a technique to a config copy. */
-    SimConfig configFor(const TechniqueSpec &tech,
-                        unsigned num_threads) const;
-
-    /** Run one workload under one technique. */
-    SimResult runWorkload(const Workload &workload,
-                          const TechniqueSpec &tech) const;
-
-    /**
-     * Single-thread reference IPC of a program (ICOUNT, one thread),
-     * memoized across calls.
-     */
-    double singleThreadIpc(const std::string &program);
-
-    /** Baselines for every program in @p workload. */
-    BaselineIpcMap baselinesFor(const Workload &workload);
-
-    /** Run a full group under a technique, in parallel. */
-    GroupMetrics runGroup(WorkloadGroup group, const TechniqueSpec &tech);
-
-    /** Worker threads used for parallel runs (>=1). */
-    unsigned parallelism() const { return parallelism_; }
-    /** Override worker count. */
-    void setParallelism(unsigned n) { parallelism_ = n ? n : 1; }
-
-    /** The base configuration. */
-    const SimConfig &baseConfig() const { return base_; }
-    /** Mutable base configuration (e.g. register-file sweeps). */
-    SimConfig &baseConfig() { return base_; }
-
-  private:
-    SimConfig base_;
-    unsigned parallelism_;
-    std::mutex cacheMutex_;
-    std::map<std::string, double> baselineCache_;
 };
 
 /**

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,7 +46,6 @@
 #include "report/serialize.hh"
 #include "runahead/variant.hh"
 #include "sim/campaign.hh"
-#include "sim/experiment.hh"
 #include "sim/farm.hh"
 #include "sim/metrics.hh"
 #include "sim/sampled.hh"
@@ -263,10 +263,9 @@ writeOutput(const std::string &path, const std::string &text,
     std::printf("wrote %s %s\n", what, path.c_str());
 }
 
+/** Print one run; @p baselines (Eq. 2's reference IPCs) adds fairness. */
 void
-printRun(const sim::SimResult &r, bool with_fairness,
-         sim::ExperimentRunner *runner,
-         const sim::Workload *workload)
+printRun(const sim::SimResult &r, const sim::BaselineIpcMap *baselines)
 {
     std::printf("%-10s %8s %12s %9s %9s %10s %10s\n", "thread", "IPC",
                 "committed", "L2 MPKI", "mispred%", "RA epis.",
@@ -288,10 +287,9 @@ printRun(const sim::SimResult &r, bool with_fairness,
     }
     std::printf("\nthroughput (Eq.1): %.3f   total IPC: %.3f   ED^2: %.3g\n",
                 r.throughputEq1(), r.totalIpc(), sim::ed2(r));
-    if (with_fairness && runner && workload) {
-        const auto base = runner->baselinesFor(*workload);
-        std::printf("fairness (Eq.2):   %.3f\n", sim::fairness(r, base));
-    }
+    if (baselines)
+        std::printf("fairness (Eq.2):   %.3f\n",
+                    sim::fairness(r, *baselines));
 }
 
 /** Options shared by the run and report subcommands. */
@@ -488,27 +486,39 @@ runCommand(const std::vector<std::string> &args, bool structured)
     validateSampled(opt.cfg, opt.sampledParams,
                     !opt.groupName.empty() || opt.withFairness,
                     /*verify_mode=*/false);
+    if (!opt.groupName.empty() && !opt.cfg.traceOut.empty())
+        fatal("--trace-out traces one run; --group runs every workload "
+              "of the group into the same file (drop --trace-out or "
+              "--group)");
     // Structured output defaults to JSON on stdout.
     if (structured && opt.jsonPath.empty() && opt.csvPath.empty())
         opt.jsonPath = "-";
+
+    // The run as a campaign: a --group runs through it, and the Eq. 2
+    // baselines are its baselineSpec.
+    const sim::TechniqueSpec tech{opt.policyName, opt.cfg.core.policy,
+                                  opt.cfg.core.rat};
+    sim::CampaignSpec spec;
+    spec.base = opt.cfg;
+    spec.techniques = {tech};
 
     if (!opt.groupName.empty()) {
         const auto group = sim::parseGroup(opt.groupName);
         if (!group)
             fatal("unknown group '%s'", opt.groupName.c_str());
-        sim::ExperimentRunner runner(opt.cfg);
-        const sim::TechniqueSpec tech{opt.policyName,
-                                      opt.cfg.core.policy,
-                                      opt.cfg.core.rat};
-        const sim::GroupMetrics gm = runner.runGroup(*group, tech);
+        spec.groups = {*group};
+        const sim::CampaignOutcome baselines =
+            sim::runCampaign(sim::baselineSpec(spec));
+        const sim::GroupMetrics gm =
+            sim::groupMetrics(spec, sim::runCampaign(spec), &baselines)[0][0];
         if (structured) {
             if (!opt.jsonPath.empty()) {
                 report::Json j = report::Json::object();
                 j["schema"] = report::Json("ratsim-group-v1");
                 // Effective config: every run in the group uses the
                 // group's thread count, not the base default.
-                j["config"] = report::toJson(
-                    runner.configFor(tech, sim::groupThreads(*group)));
+                j["config"] = report::toJson(sim::configFor(
+                    opt.cfg, tech, sim::groupThreads(*group)));
                 j["groupMetrics"] = report::toJson(gm);
                 writeOutput(opt.jsonPath, j.dump(2), "JSON");
             }
@@ -533,20 +543,21 @@ runCommand(const std::vector<std::string> &args, bool structured)
 
     const sim::Workload w =
         sim::Workload::fromPrograms(splitPrograms(opt.workloadList));
-    sim::ExperimentRunner runner(opt.cfg);
-    const sim::TechniqueSpec tech{opt.policyName, opt.cfg.core.policy,
-                                  opt.cfg.core.rat};
+    const sim::SimConfig cfg = sim::configFor(
+        opt.cfg, tech, static_cast<unsigned>(w.programs.size()));
     // Sampled runs dispatch through the same cell runner the
     // campaign/farm use: profile, checkpoint, per-phase samples,
     // merged extrapolation. Exact runs keep the existing path
     // bit-for-bit.
-    const sim::SimResult r =
-        opt.cfg.sampled
-            ? sim::simulateCell(
-                  runner.configFor(tech, static_cast<unsigned>(
-                                             w.programs.size())),
-                  w.programs)
-            : runner.runWorkload(w, tech);
+    const sim::SimResult r = opt.cfg.sampled
+                                 ? sim::simulateCell(cfg, w.programs)
+                                 : sim::Simulator(cfg, w.programs).run();
+    std::optional<sim::BaselineIpcMap> baselines;
+    if (opt.withFairness) {
+        spec.workloads = {w};
+        baselines = sim::baselineIpcs(
+            sim::runCampaign(sim::baselineSpec(spec)));
+    }
 
     if (structured) {
         if (!opt.jsonPath.empty()) {
@@ -554,18 +565,13 @@ runCommand(const std::vector<std::string> &args, bool structured)
             j["schema"] = report::Json("ratsim-run-v1");
             j["workload"] = report::Json(w.name);
             j["technique"] = report::Json(opt.policyName);
-            j["config"] = report::toJson(
-                runner.configFor(tech,
-                                 static_cast<unsigned>(
-                                     w.programs.size())));
+            j["config"] = report::toJson(cfg);
             j["metrics"] = report::resultMetricsJson(r);
             // Engine stats ride only on this always-fresh path; they
             // are not part of toJson(SimResult) (see serialize.hh).
             j["engine"] = report::engineStatsJson(r.engine);
-            if (opt.withFairness) {
-                j["fairness"] = report::Json(
-                    sim::fairness(r, runner.baselinesFor(w)));
-            }
+            if (baselines)
+                j["fairness"] = report::Json(sim::fairness(r, *baselines));
             j["result"] = report::toJson(r);
             writeOutput(opt.jsonPath, j.dump(2), "JSON");
         }
@@ -579,7 +585,7 @@ runCommand(const std::vector<std::string> &args, bool structured)
                 w.name.c_str(), opt.policyName.c_str(),
                 static_cast<unsigned long long>(opt.cfg.measureCycles),
                 opt.cfg.sampled ? ", sampled" : "");
-    printRun(r, opt.withFairness, &runner, &w);
+    printRun(r, baselines ? &*baselines : nullptr);
     if (r.sampled.enabled && r.sampled.merged)
         std::printf("sampled: %u phases over %llu profiled windows "
                     "(est. ipc error %.2f%%, hmean error %.2f%%)\n",

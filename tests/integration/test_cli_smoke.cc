@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -286,6 +288,42 @@ TEST(CliSmoke, FarmWorkerModeRequiresItsPrivateProtocol)
     // without simulating anything.
     const CliResult r = runCli("--farm-worker < /dev/null");
     EXPECT_EQ(r.exitCode, 0) << r.output;
+}
+
+TEST(CliSmoke, FairnessBaselinesLeaveTheTraceToTheMeasuredRun)
+{
+    // The Eq. 2 baselines are single-thread runs; none of them may
+    // write the --trace-out file, which must hold the two-thread run.
+    const std::string trace =
+        testing::TempDir() + "ratsim_fairness_trace.json";
+    std::remove(trace.c_str());
+    const CliResult r = runCli(
+        "run --workload art,mcf --policy RaT --fairness --trace-out " +
+        trace + " --measure 2000 --warmup 500 --prewarm 20000");
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("fairness (Eq.2):"), std::string::npos)
+        << r.output;
+    std::ifstream in(trace);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("\"name\":\"hw thread 1\""), std::string::npos)
+        << "trace holds no second hw thread";
+    std::remove(trace.c_str());
+}
+
+TEST(CliSmoke, GroupRefusesTraceOut)
+{
+    // Every workload of the group would write the one trace file.
+    const std::string trace =
+        testing::TempDir() + "ratsim_group_trace.json";
+    const CliResult r = runCli(
+        "run --group MIX2 --policy RaT --measure 2000 --warmup 500 "
+        "--prewarm 20000 --trace-out " + trace);
+    std::remove(trace.c_str());
+    EXPECT_EQ(r.exitCode, 1) << r.output;
+    EXPECT_NE(r.output.find("--trace-out"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("--group"), std::string::npos) << r.output;
 }
 
 TEST(CliSmoke, UnknownSubcommandFailsWithDiagnostic)

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 
 namespace rat::sim {
 namespace {
@@ -16,14 +16,37 @@ mediumConfig()
     return cfg;
 }
 
+/** @p lineup on @p programs at mediumConfig(), as one campaign. */
+CampaignSpec
+lineupSpec(const std::vector<std::string> &programs,
+           const std::vector<TechniqueSpec> &lineup)
+{
+    CampaignSpec spec;
+    spec.base = mediumConfig();
+    spec.techniques = lineup;
+    spec.workloads = {Workload::fromPrograms(programs)};
+    return spec;
+}
+
+/** Eq. 1 throughput of every cell of @p spec, in grid order. */
+std::vector<double>
+throughputs(const CampaignSpec &spec)
+{
+    std::vector<double> thr;
+    for (const CampaignCell &cell : runCampaign(spec).cells)
+        thr.push_back(throughput(cell.result));
+    return thr;
+}
+
 TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const double icount = throughput(runner.runWorkload(w, icountSpec()));
-    const double stall = throughput(runner.runWorkload(w, stallSpec()));
-    const double flush = throughput(runner.runWorkload(w, flushSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const std::vector<double> thr = throughputs(lineupSpec(
+        {"art", "mcf"},
+        {icountSpec(), stallSpec(), flushSpec(), ratSpec()}));
+    const double icount = thr.at(0);
+    const double stall = thr.at(1);
+    const double flush = thr.at(2);
+    const double rat = thr.at(3);
 
     // Fig. 1 ordering on MEM workloads: RaT ahead of FLUSH/STALL/ICOUNT.
     EXPECT_GT(rat, flush);
@@ -33,12 +56,11 @@ TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 
 TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"swim,mcf", {"swim", "mcf"}};
-    const double dcra = throughput(runner.runWorkload(w, dcraSpec()));
-    const double hc =
-        throughput(runner.runWorkload(w, hillClimbingSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const std::vector<double> thr = throughputs(lineupSpec(
+        {"swim", "mcf"}, {dcraSpec(), hillClimbingSpec(), ratSpec()}));
+    const double dcra = thr.at(0);
+    const double hc = thr.at(1);
+    const double rat = thr.at(2);
 
     // Fig. 2 ordering on MEM workloads.
     EXPECT_GT(rat, dcra);
@@ -47,30 +69,31 @@ TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 
 TEST(PaperShape, RatFairnessBeatsIcountOnMem)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const auto base = runner.baselinesFor(w);
-    const double f_icount =
-        fairness(runner.runWorkload(w, icountSpec()), base);
-    const double f_rat = fairness(runner.runWorkload(w, ratSpec()), base);
+    const CampaignSpec spec =
+        lineupSpec({"art", "mcf"}, {icountSpec(), ratSpec()});
+    const BaselineIpcMap base =
+        baselineIpcs(runCampaign(baselineSpec(spec)));
+    const CampaignOutcome outcome = runCampaign(spec);
+    const double f_icount = fairness(outcome.cells.at(0).result, base);
+    const double f_rat = fairness(outcome.cells.at(1).result, base);
     EXPECT_GT(f_rat, f_icount);
 }
 
 TEST(PaperShape, IlpWorkloadsLargelyUnaffectedByRat)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"gzip,bzip2", {"gzip", "bzip2"}};
-    const double icount = throughput(runner.runWorkload(w, icountSpec()));
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
+    const std::vector<double> thr = throughputs(
+        lineupSpec({"gzip", "bzip2"}, {icountSpec(), ratSpec()}));
+    const double icount = thr.at(0);
+    const double rat = thr.at(1);
     // Within ~15% on ILP pairs (paper: moderate effect on ILP).
     EXPECT_GT(rat, 0.85 * icount);
 }
 
 TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"art,swim", {"art", "swim"}};
-    const SimResult r = runner.runWorkload(w, ratSpec());
+    const SimResult r =
+        Simulator(configFor(mediumConfig(), ratSpec(), 2), {"art", "swim"})
+            .run();
     for (const ThreadResult &t : r.threads) {
         if (t.core.runaheadCycles > 3000) {
             EXPECT_LT(t.core.avgRegsRunahead(),
@@ -82,22 +105,14 @@ TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 
 TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 {
-    SimConfig small = mediumConfig();
-    small.core.intRegs = 64;
-    small.core.fpRegs = 64;
-    SimConfig big = mediumConfig();
-    big.core.intRegs = 320;
-    big.core.fpRegs = 320;
-
-    ExperimentRunner r_small(small);
-    ExperimentRunner r_big(big);
-    const Workload w{"art,mcf", {"art", "mcf"}};
-
-    const double flush_small =
-        throughput(r_small.runWorkload(w, flushSpec()));
-    const double flush_big = throughput(r_big.runWorkload(w, flushSpec()));
-    const double rat_small = throughput(r_small.runWorkload(w, ratSpec()));
-    const double rat_big = throughput(r_big.runWorkload(w, ratSpec()));
+    CampaignSpec spec =
+        lineupSpec({"art", "mcf"}, {flushSpec(), ratSpec()});
+    spec.regsAxis = {64, 320};
+    const std::vector<double> thr = throughputs(spec);
+    const double flush_small = thr.at(0);
+    const double flush_big = thr.at(1);
+    const double rat_small = thr.at(2);
+    const double rat_big = thr.at(3);
 
     const double flush_slowdown = 1.0 - flush_small / flush_big;
     const double rat_slowdown = 1.0 - rat_small / rat_big;
@@ -109,15 +124,14 @@ TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 
 TEST(PaperShape, PrefetchAblationLosesMostOfTheGain)
 {
-    ExperimentRunner runner(mediumConfig());
-    const Workload w{"swim,art", {"swim", "art"}};
-
     TechniqueSpec no_pf = ratSpec();
     no_pf.label = "RaT-noPF";
     no_pf.rat.disablePrefetch = true;
 
-    const double rat = throughput(runner.runWorkload(w, ratSpec()));
-    const double nopf = throughput(runner.runWorkload(w, no_pf));
+    const std::vector<double> thr =
+        throughputs(lineupSpec({"swim", "art"}, {ratSpec(), no_pf}));
+    const double rat = thr.at(0);
+    const double nopf = thr.at(1);
     EXPECT_GT(rat, nopf); // Fig. 4: prefetching dominates the benefit
 }
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
@@ -56,11 +56,13 @@ TEST_P(PolicyWorkloadMatrix, RunsCleanWithSaneNumbers)
     SimConfig cfg;
     cfg.warmupCycles = 2000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
 
     const Workload w = workloadByName(wl_name);
     const SimResult r =
-        runner.runWorkload(w, techniqueByName(tech_name));
+        Simulator(configFor(cfg, techniqueByName(tech_name),
+                            static_cast<unsigned>(w.programs.size())),
+                  w.programs)
+            .run();
 
     ASSERT_EQ(r.threads.size(), w.programs.size());
     for (const ThreadResult &t : r.threads) {
@@ -92,21 +94,24 @@ TEST(Invariants, RunaheadOnlyUnderRat)
     SimConfig cfg;
     cfg.warmupCycles = 1000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
-    const Workload w{"art,mcf", {"art", "mcf"}};
+    CampaignSpec spec;
+    spec.base = cfg;
+    spec.techniques = {icountSpec(), stallSpec(),        flushSpec(),
+                       dcraSpec(),   hillClimbingSpec(), ratSpec()};
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
+    const CampaignOutcome outcome = runCampaign(spec);
+    ASSERT_EQ(outcome.cells.size(), spec.techniques.size());
 
-    for (const auto &tech :
-         {icountSpec(), stallSpec(), flushSpec(), dcraSpec(),
-          hillClimbingSpec()}) {
-        const SimResult r = runner.runWorkload(w, tech);
-        for (const ThreadResult &t : r.threads) {
+    for (const CampaignCell &cell : outcome.cells) {
+        if (cell.technique == "RaT")
+            continue;
+        for (const ThreadResult &t : cell.result.threads) {
             EXPECT_EQ(t.core.runaheadEntries, 0u)
-                << tech.label << " " << t.program;
+                << cell.technique << " " << t.program;
         }
     }
-    const SimResult rat = runner.runWorkload(w, ratSpec());
     std::uint64_t entries = 0;
-    for (const ThreadResult &t : rat.threads)
+    for (const ThreadResult &t : outcome.cells.back().result.threads)
         entries += t.core.runaheadEntries;
     EXPECT_GT(entries, 0u);
 }
@@ -116,16 +121,17 @@ TEST(Invariants, OnlyFlushAndRatReexecute)
     SimConfig cfg;
     cfg.warmupCycles = 1000;
     cfg.measureCycles = 8000;
-    ExperimentRunner runner(cfg);
-    const Workload w{"art,gzip", {"art", "gzip"}};
+    const std::vector<std::string> programs{"art", "gzip"};
 
     // STALL never squashes; executed ~ committed (+ in-flight slack).
-    const SimResult stall = runner.runWorkload(w, stallSpec());
+    const SimResult stall =
+        Simulator(configFor(cfg, stallSpec(), 2), programs).run();
     for (const ThreadResult &t : stall.threads)
         EXPECT_EQ(t.core.squashedInsts, 0u) << t.program;
 
     // FLUSH squashes the memory thread.
-    const SimResult flush = runner.runWorkload(w, flushSpec());
+    const SimResult flush =
+        Simulator(configFor(cfg, flushSpec(), 2), programs).run();
     EXPECT_GT(flush.threads[0].core.squashedInsts, 0u);
 }
 

@@ -45,13 +45,14 @@ cappedMix2Config(bool cycle_skipping)
 std::string
 runCappedMix2Json(bool cycle_skipping)
 {
-    ExperimentRunner runner(cappedMix2Config(cycle_skipping));
+    const SimConfig base = cappedMix2Config(cycle_skipping);
     const Workload w = Workload::fromPrograms({"art", "gzip"});
     TechniqueSpec tech;
     tech.label = "RaT";
     tech.policy = core::PolicyKind::Rat;
-    tech.rat = runner.baseConfig().core.rat;
-    const SimResult r = runner.runWorkload(w, tech);
+    tech.rat = base.core.rat;
+    const SimResult r =
+        Simulator(configFor(base, tech, 2), w.programs).run();
     return report::toJson(r).dump(2) + "\n";
 }
 

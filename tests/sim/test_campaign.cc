@@ -184,6 +184,19 @@ TEST(Campaign, EmptyAxesCollapseToBaseValues)
     EXPECT_EQ(cells[0].rob, spec.base.core.robEntries);
     EXPECT_EQ(cells[0].measureCycles, spec.base.measureCycles);
     EXPECT_EQ(cells[0].seed, spec.base.seed);
+
+    // An unset axis keeps the value of configFor's config: the
+    // technique's runahead variant, and the base's register split.
+    spec.base.core.fpRegs = spec.base.core.intRegs / 2;
+    TechniqueSpec capped = ratSpec();
+    capped.rat.variant = runahead::RaVariant::Capped;
+    spec.techniques = {capped};
+    const auto capped_cells = expandCampaign(spec);
+    ASSERT_EQ(capped_cells.size(), 1u);
+    EXPECT_EQ(capped_cells[0].raVariant, "capped");
+    EXPECT_EQ(capped_cells[0].config.core.fpRegs, spec.base.core.fpRegs);
+    EXPECT_EQ(report::toJson(capped_cells[0].config).dump(),
+              report::toJson(configFor(spec.base, capped, 2)).dump());
 }
 
 TEST(Campaign, WarmCacheRunSimulatesNothingAndIsBitIdentical)

@@ -41,7 +41,6 @@
 #include "policy/factory.hh"
 #include "report/serialize.hh"
 #include "sim/campaign.hh"
-#include "sim/experiment.hh"
 #include "sim/workloads.hh"
 
 namespace rat::sim {
@@ -125,9 +124,12 @@ resultJson(const SimResult &r)
 std::string
 runJson(const GoldenCase &golden)
 {
-    ExperimentRunner runner(determinismConfig(golden.digestWindow));
-    return resultJson(runner.runWorkload(
-        Workload::fromPrograms(golden.programs), techniqueOf(golden)));
+    return resultJson(
+        Simulator(configFor(determinismConfig(golden.digestWindow),
+                            techniqueOf(golden),
+                            static_cast<unsigned>(golden.programs.size())),
+                  golden.programs)
+            .run());
 }
 
 std::string

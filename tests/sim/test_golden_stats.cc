@@ -10,9 +10,9 @@
  * values with the harness below and update the constants in the same
  * commit, explaining the semantic change.
  *
- * Re-capture: run the art,mcf workload at measureCycles=20000 via
- * ExperimentRunner::runWorkload(ratSpec()/icountSpec()) and print the
- * counters (the CLI equivalent:
+ * Re-capture: run the art,mcf workload at measureCycles=20000 as
+ * Simulator(configFor(cfg, ratSpec()/icountSpec(), 2), programs).run()
+ * and print the counters (the CLI equivalent:
  * `ratsim --workload art,mcf --policy RaT --measure 20000`).
  */
 
@@ -29,11 +29,10 @@ runArtMcf(const TechniqueSpec &tech)
 {
     SimConfig cfg; // defaults: seed 1, 20k warmup, 1M prewarm insts
     cfg.measureCycles = 20000;
-    ExperimentRunner runner(cfg);
     Workload w;
     w.name = "art,mcf";
     w.programs = {"art", "mcf"};
-    return runner.runWorkload(w, tech);
+    return Simulator(configFor(cfg, tech, 2), w.programs).run();
 }
 
 TEST(GoldenStats, RatOnArtMcfSeed1)
@@ -87,12 +86,11 @@ runMem4(const TechniqueSpec &tech)
 {
     SimConfig cfg; // defaults: seed 1, 20k warmup, 1M prewarm insts
     cfg.measureCycles = 20000;
-    ExperimentRunner runner(cfg);
     // First MEM4 workload of Table 2: four memory-bound threads.
     Workload w;
     w.name = "art,mcf,swim,twolf";
     w.programs = {"art", "mcf", "swim", "twolf"};
-    return runner.runWorkload(w, tech);
+    return Simulator(configFor(cfg, tech, 4), w.programs).run();
 }
 
 TEST(GoldenStats, RatOnMem4QuadSeed1)

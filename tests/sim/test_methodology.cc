@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
@@ -36,15 +36,14 @@ TEST(Methodology, EveryThreadIsMeasuredOverTheFullWindow)
 
 TEST(Methodology, ParallelAndSerialGroupRunsAgree)
 {
-    ExperimentRunner serial(quick());
-    serial.setParallelism(1);
-    ExperimentRunner parallel(quick());
-    parallel.setParallelism(8);
-
-    const GroupMetrics a =
-        serial.runGroup(WorkloadGroup::MEM2, ratSpec());
-    const GroupMetrics b =
-        parallel.runGroup(WorkloadGroup::MEM2, ratSpec());
+    CampaignSpec spec;
+    spec.base = quick();
+    spec.techniques = {ratSpec()};
+    spec.groups = {WorkloadGroup::MEM2};
+    spec.parallelism = 1;
+    const GroupMetrics a = groupMetrics(spec, runCampaign(spec))[0][0];
+    spec.parallelism = 8;
+    const GroupMetrics b = groupMetrics(spec, runCampaign(spec))[0][0];
 
     ASSERT_EQ(a.results.size(), b.results.size());
     for (std::size_t i = 0; i < a.results.size(); ++i) {

@@ -1,8 +1,8 @@
-/** @file Tests for the Simulator wrapper and ExperimentRunner. */
+/** @file Tests for the Simulator wrapper and the group-grid calls. */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/campaign.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
@@ -69,40 +69,48 @@ TEST(Simulator, DeterministicForSameConfig)
               rb.threads[1].core.committedInsts);
 }
 
-TEST(ExperimentRunner, BaselineCacheIsStable)
+/** Single-thread ICOUNT IPC of @p program, as Eq. 2's baseline. */
+double
+baselineIpc(const std::string &program)
 {
-    ExperimentRunner runner(quickConfig());
-    const double a = runner.singleThreadIpc("gzip");
-    const double b = runner.singleThreadIpc("gzip");
-    EXPECT_DOUBLE_EQ(a, b);
-    EXPECT_GT(a, 0.3);
+    CampaignSpec spec;
+    spec.base = quickConfig();
+    spec.techniques = {icountSpec()};
+    spec.workloads = {Workload::fromPrograms({program})};
+    return baselineIpcs(runCampaign(baselineSpec(spec))).at(program);
 }
 
-TEST(ExperimentRunner, IlpBaselineBeatsMemBaseline)
+TEST(GroupGrid, IlpBaselineBeatsMemBaseline)
 {
-    ExperimentRunner runner(quickConfig());
-    EXPECT_GT(runner.singleThreadIpc("gzip"),
-              3.0 * runner.singleThreadIpc("mcf"));
+    const double gzip = baselineIpc("gzip");
+    EXPECT_GT(gzip, 0.3);
+    EXPECT_GT(gzip, 3.0 * baselineIpc("mcf"));
 }
 
-TEST(ExperimentRunner, RunWorkloadHonorsTechnique)
+TEST(GroupGrid, RunHonorsTechnique)
 {
-    ExperimentRunner runner(quickConfig());
-    const Workload w{"art,mcf", {"art", "mcf"}};
-    const SimResult icount = runner.runWorkload(w, icountSpec());
-    const SimResult rat = runner.runWorkload(w, ratSpec());
+    const std::vector<std::string> programs{"art", "mcf"};
+    const SimResult icount =
+        Simulator(configFor(quickConfig(), icountSpec(), 2), programs)
+            .run();
+    const SimResult rat =
+        Simulator(configFor(quickConfig(), ratSpec(), 2), programs).run();
     EXPECT_GT(rat.totalIpc(), 0.0);
     EXPECT_GT(icount.totalIpc(), 0.0);
     // RaT must beat plain ICOUNT on a MEM workload (the headline).
     EXPECT_GT(rat.totalIpc(), icount.totalIpc());
 }
 
-TEST(ExperimentRunner, ParallelGroupRunMatchesShape)
+TEST(GroupGrid, ParallelGroupRunMatchesShape)
 {
-    ExperimentRunner runner(quickConfig());
-    runner.setParallelism(4);
+    CampaignSpec spec;
+    spec.base = quickConfig();
+    spec.techniques = {icountSpec()};
+    spec.groups = {WorkloadGroup::ILP2};
+    spec.parallelism = 4;
+    const CampaignOutcome baselines = runCampaign(baselineSpec(spec));
     const GroupMetrics gm =
-        runner.runGroup(WorkloadGroup::ILP2, icountSpec());
+        groupMetrics(spec, runCampaign(spec), &baselines).at(0).at(0);
     EXPECT_EQ(gm.results.size(), 10u);
     EXPECT_GT(gm.meanThroughput, 0.0);
     EXPECT_GT(gm.meanFairness, 0.0);
