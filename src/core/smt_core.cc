@@ -281,64 +281,6 @@ SmtCore::skipTo(Cycle target)
 }
 
 void
-SmtCore::prewarm(InstSeq insts)
-{
-    mem::Cache &l1i = mem_.l1i();
-    mem::Cache &l1d = mem_.l1d();
-    mem::Cache &l2 = mem_.l2();
-    Addr evicted = 0;
-
-    // Per-thread PC-line hint: the L1I and L2 slots the thread's last PC
-    // line sits in. Consecutive instructions mostly share a line, and
-    // while the hinted slot still holds it installHinted refreshes it
-    // without walking the set. Locals of this call: no new core state.
-    struct PcLineHint {
-        std::size_t l1i = 0;
-        std::size_t l2 = 0;
-    };
-    std::vector<PcLineHint> hints(config_.numThreads);
-
-    for (InstSeq i = 0; i < insts; ++i) {
-        // Interleave threads so the shared L2's replacement state sees
-        // the same competition it will see during timing simulation.
-        for (unsigned t = 0; t < config_.numThreads; ++t) {
-            ThreadState &ts = threads_[t];
-            const trace::MicroOp op = ts.gen->at(ts.nextSeq + i);
-            const Cycle pseudo_now =
-                static_cast<Cycle>(prewarmedInsts_) + i;
-
-            l1i.installHinted(l1i.lineAlign(op.pc), pseudo_now, pseudo_now,
-                              evicted, hints[t].l1i);
-            l2.installHinted(l2.lineAlign(op.pc), pseudo_now, pseudo_now,
-                             evicted, hints[t].l2);
-            if (trace::isMemOp(op.op)) {
-                l1d.install(l1d.lineAlign(op.effAddr), pseudo_now,
-                            pseudo_now, evicted);
-                l2.install(l2.lineAlign(op.effAddr), pseudo_now,
-                           pseudo_now, evicted);
-            }
-            if (op.op == trace::OpClass::Branch) {
-                const auto out = predictor_.predict(
-                    static_cast<ThreadId>(t), op.pc);
-                predictor_.update(static_cast<ThreadId>(t), op.pc,
-                                  op.taken, out);
-            }
-            if (op.taken && (op.op == trace::OpClass::Branch ||
-                             op.op == trace::OpClass::Call)) {
-                btb_.update(op.pc, op.target);
-            }
-        }
-    }
-    for (unsigned t = 0; t < config_.numThreads; ++t)
-        threads_[t].nextSeq += insts;
-    prewarmedInsts_ += insts;
-
-    // The pseudo-time used for LRU stamps must lie in the past of all
-    // timing cycles, so fast-forward the core clock past it.
-    cycle_ = std::max(cycle_, static_cast<Cycle>(prewarmedInsts_) + 1);
-}
-
-void
 SmtCore::tick()
 {
     // Verify-mode hook (disarmed in normal runs): the fault injection

@@ -99,8 +99,18 @@ class SmtCore
      * then start timing simulation at that trace position. This is the
      * standard trace-driven substitute for the long cache-warming phase
      * of execution-driven methodology (see DESIGN.md).
+     *
+     * @p workers threads share the walk (the caller is one of them):
+     * each of the kWalkLanes lanes warms one structure, and extra
+     * workers generate trace records. The state left behind never
+     * depends on @p workers; only the wall time does. The streams'
+     * at() is then called from several threads at once (see
+     * trace::TraceSource).
      */
-    void prewarm(InstSeq insts);
+    void prewarm(InstSeq insts, unsigned workers = 1);
+
+    /** Lanes of the prewarm walk: L1I; L1D; L2; perceptron + BTB. */
+    static constexpr unsigned kWalkLanes = 4;
 
     /** Current cycle. */
     Cycle cycle() const { return cycle_; }

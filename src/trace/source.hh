@@ -20,13 +20,19 @@ namespace rat::trace {
  * A replayable, random-access instruction stream. Implementations must
  * be pure: at(i) always returns the same micro-op (this is what makes
  * runahead rollback and FLUSH re-fetch work in a trace-driven model).
+ * They must also be safe to call concurrently: a multi-worker prewarm
+ * walk (core::SmtCore::prewarm) calls at() on one source from several
+ * threads at once.
  */
 class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
 
-    /** Micro-op at dynamic index @p idx. Must be pure. */
+    /**
+     * Micro-op at dynamic index @p idx. Must be pure, and safe to call
+     * from several threads at once.
+     */
     virtual MicroOp at(InstSeq idx) const = 0;
 };
 
