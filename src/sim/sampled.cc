@@ -139,7 +139,10 @@ writeFileBlob(const std::string &dir, const std::string &path,
  * Serialized by the registry mutex: within one process the walk
  * happens once per workload identity and every later sample is a
  * registry hit. prewarm() is incremental (bit-identical to one-shot),
- * so one walker visits all representatives in ascending order.
+ * so one walker visits all representatives in ascending order. The
+ * walk runs alone (a cell runs its samples one after another, and
+ * every other sampled job waits on the mutex), so it takes
+ * prewarmWalkWorkers() workers.
  */
 std::string
 ensureCheckpoints(const SimConfig &cfg,
@@ -175,9 +178,10 @@ ensureCheckpoints(const SimConfig &cfg,
         // pipeline configuration are irrelevant (only prewarm runs).
         std::sort(missing.begin(), missing.end());
         Simulator walker(cfg, programs);
+        const unsigned workers = prewarmWalkWorkers();
         InstSeq walked = 0;
         for (const auto &[pos, key] : missing) {
-            walker.smtCore().prewarm(pos - walked);
+            walker.smtCore().prewarm(pos - walked, workers);
             walked = pos;
             std::string blob = CheckpointCodec::encode(walker);
             if (blob.empty()) {

@@ -225,6 +225,16 @@ std::vector<std::unique_ptr<trace::TraceGenerator>>
 makeStreams(std::uint64_t seed, const std::vector<std::string> &programs);
 
 /**
+ * Workers for a prewarm walk that runs alone, as the walks of
+ * Simulator::run() and of the sampled checkpoint walker do: the CPUs
+ * this process may run on (its affinity mask), at most
+ * core::SmtCore::kWalkLanes. A CPU quota is not seen. Campaign and farm
+ * jobs walk on one worker (restoreOrWalk), since there the jobs fill
+ * the cores. The count never changes a result.
+ */
+unsigned prewarmWalkWorkers();
+
+/**
  * One simulation instance: owns every component. Instances are fully
  * independent, so parameter sweeps may run many in parallel threads.
  */
