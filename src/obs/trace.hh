@@ -48,7 +48,7 @@ enum Category : unsigned {
  */
 bool parseTraceCategories(const std::string &text, unsigned &mask);
 
-/** The category names accepted by parseTraceCategories, for usage(). */
+/** The category names accepted by parseTraceCategories, for diagnostics. */
 const char *traceCategoryNames();
 
 /** What an event records; determines its exported name and args. */

@@ -143,8 +143,7 @@ Simulator::run(PhaseTiming *timing)
     if (!config_.traceOut.empty()) {
         tracer = std::make_unique<obs::Tracer>(
             config_.traceCategories,
-            static_cast<unsigned>(programs_.size()),
-            config_.traceBufferCapacity);
+            static_cast<unsigned>(programs_.size()));
         core_->setTracer(tracer.get());
         mem_->setTracer(tracer.get());
     }

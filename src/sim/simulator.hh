@@ -94,8 +94,6 @@ struct SimConfig {
     std::string traceOut;
     /** obs::Category mask of event classes to record. */
     unsigned traceCategories = obs::kCatAll;
-    /** Events retained per trace track (ring capacity). */
-    std::size_t traceBufferCapacity = obs::Tracer::kDefaultRingCapacity;
 
     // ---- host-side verify hooks; NOT serialized --------------------
     /**

@@ -2,33 +2,17 @@
  * @file
  * ratsim — command-line driver for the Runahead Threads SMT simulator.
  *
- * Subcommands:
- *   ratsim run    [options]   single workload or group, human output
- *   ratsim report [options]   same run, structured JSON/CSV output
- *   ratsim sweep  [options]   declarative campaign over a config grid
- *                             with an optional on-disk result cache
- *   ratsim farm   [options]   the same campaign grid, sharded across
- *                             worker processes with a shared cache;
- *                             crash-safe and resumable
- *   ratsim verify [options]   determinism audit: one config with cycle
- *                             skipping on and off + a prewarm-restore
- *                             leg, per ra-variant; digest streams
- *                             compared, divergences bisected
+ * Every subcommand parses its options from one table, kFlags: one
+ * entry per flag, naming the subcommands that take it. The same table
+ * prints `ratsim --help` and `ratsim <subcommand> --help`. Rules that
+ * span flags run after parsing, in the subcommand.
  *
  * `ratsim --farm-worker` is the internal worker-process entry point
  * the farm coordinator fork/execs; it speaks length-prefixed JSON on
  * stdin/stdout and is not meant for interactive use.
  *
  * Bare `ratsim [options]` is kept as an alias of `ratsim run` for
- * backward compatibility.
- *
- * Examples:
- *   ratsim run --workload art,mcf --policy RaT
- *   ratsim run --group MEM2 --policy RaT --fairness
- *   ratsim report --workload art,mcf --policy RaT --json run.json
- *   ratsim sweep --policies ICOUNT,RaT --groups MEM2 --regs 128,320 \
- *                --cache .ratsim-cache --json sweep.json
- *   ratsim --list-programs
+ * backward compatibility. README.md has examples of each subcommand.
  */
 
 #include <cstdio>
@@ -57,152 +41,34 @@ namespace {
 
 using namespace rat;
 
-void
-usage()
-{
-    std::printf(
-        "ratsim — Runahead Threads SMT simulator (HPCA 2008 reproduction)\n"
-        "\n"
-        "usage: ratsim [run|report|sweep|farm|verify] [options]\n"
-        "\n"
-        "run/report options:\n"
-        "  --workload P1,P2[,P3,P4]  programs to co-run (default art,mcf)\n"
-        "  --group NAME              run a whole Table 2 group instead\n"
-        "                            (ILP2 MIX2 MEM2 ILP4 MIX4 MEM4)\n"
-        "  --policy NAME             ICOUNT STALL FLUSH DCRA HillClimbing\n"
-        "                            RaT RaT+DCRA MLP RR (default RaT)\n"
-        "  --measure N               measured cycles (default 100000)\n"
-        "  --warmup N                timed warm-up cycles (default 20000)\n"
-        "  --prewarm N               functional warm-up insts (default 1M)\n"
-        "  --seed N                  workload seed (default 1)\n"
-        "  --regs N                  INT and FP renaming registers\n"
-        "  --rob N                   shared reorder-buffer entries\n"
-        "  --fairness                also compute Eq. 2 fairness\n"
-        "  --ra-variant NAME         runahead variant: classic capped\n"
-        "                            useless-filter (default classic)\n"
-        "  --ra-cap N                capped variant: max episode cycles\n"
-        "  --ra-filter-threshold N   useless-filter: useless episodes of\n"
-        "                            a PC before it stops entering\n"
-        "  --ra-filter-reprobe N     useless-filter: probe every Nth\n"
-        "                            suppressed load (0 = never)\n"
-        "  --no-fp-drop              execute FP work in runahead\n"
-        "  --runahead-cache          enable the runahead cache\n"
-        "  --ra-cache-lines N        runahead-cache lines per thread\n"
-        "  --no-prefetch             Fig. 4 ablation: no runahead prefetch\n"
-        "  --no-ra-fetch             Fig. 4 ablation: no fetch in runahead\n"
-        "  --no-cycle-skip           tick every cycle (disable the\n"
-        "                            bit-identical quiescence fast-forward)\n"
-        "  --trace-out PATH          write a Chrome trace-event JSON of\n"
-        "                            the measured window ('-' = stdout);\n"
-        "                            load it in Perfetto / chrome://tracing\n"
-        "  --trace-categories LIST   comma list of fetch,sched,mem,\n"
-        "                            runahead,all (default all)\n"
-        "  --sample-window N         record windowed telemetry every N\n"
-        "                            cycles into the result (default off)\n"
-        "  --digest-window N         record a deterministic state digest\n"
-        "                            every N cycles into the result\n"
-        "                            (default off; what verify compares)\n"
-        "  --check-level LEVEL       runtime invariant audits: off\n"
-        "                            sampled full (default off)\n"
-        "  --check-interval N        cycles between sampled audits\n"
-        "                            (default 64)\n"
-        "  --sampled                 phase-sampled simulation: profile\n"
-        "                            the instruction stream into phases,\n"
-        "                            run one checkpointed sample per\n"
-        "                            phase, extrapolate whole-run\n"
-        "                            metrics (statistical; verify and\n"
-        "                            the digest/trace flags refuse it)\n"
-        "  --sample-phases N         phases / representative samples\n"
-        "                            (default 4)\n"
-        "  --phase-window N          instructions per profile window\n"
-        "                            (default 2048)\n"
-        "  --phase-span N            profiled windows past prewarm\n"
-        "                            (default 64)\n"
-        "  --sample-warmup N         detailed warm-up cycles per sample\n"
-        "                            (default 1000)\n"
-        "  --sample-measure N        measured cycles per sample\n"
-        "                            (default 4000)\n"
-        "  --json PATH               (report) write JSON ('-' = stdout)\n"
-        "  --csv PATH                (report) write CSV ('-' = stdout)\n"
-        "\n"
-        "verify options (all run options, plus):\n"
-        "  --mutate-at N             seed a single-bit state corruption\n"
-        "                            N cycles into the measured window;\n"
-        "                            verify must detect and bisect it\n"
-        "                            (exit 1 on detection, 2 if missed)\n"
-        "\n"
-        "sweep options (comma-separated axes):\n"
-        "  --policies A,B,...        techniques (default ICOUNT,RaT)\n"
-        "  --groups G1,G2,...        Table 2 groups to sweep\n"
-        "  --workloads W1;W2;...     explicit workloads, ';'-separated\n"
-        "                            (default art,mcf when no --groups)\n"
-        "  --ra-variant V1,V2,...    runahead-variant axis\n"
-        "  --regs N1,N2,...          renaming-register axis\n"
-        "  --rob N1,N2,...           ROB-size axis\n"
-        "  --measure N1,N2,...       measured-window axis\n"
-        "  --seeds N1,N2,...         seed axis\n"
-        "  --warmup/--prewarm N      scalar warm-up settings\n"
-        "  --cache DIR               on-disk result cache directory\n"
-        "  --jobs N                  worker threads (default: hardware)\n"
-        "  --json PATH / --csv PATH  structured output ('-' = stdout)\n"
-        "  --no-cycle-skip           tick every cycle in all cells\n"
-        "  --sample-window N         windowed telemetry in every cell\n"
-        "  --sampled [...]           phase-sampled cells (all run-side\n"
-        "                            sampling flags apply; each sample\n"
-        "                            is its own schedulable cell and\n"
-        "                            reports collapse to merged rows)\n"
-        "\n"
-        "farm options (all sweep options but --no-cycle-skip, plus):\n"
-        "  --workers N               worker processes (default: hardware)\n"
-        "  --shards N                job shards (default: 4x workers);\n"
-        "                            idle workers steal straggler shards\n"
-        "                            (use --cache to make the campaign\n"
-        "                            resumable after a crash or kill -9)\n"
-        "  --progress                live progress line on stderr (cells\n"
-        "                            done/total, steals, deaths, ETA)\n"
-        "  --job-timeout N           SIGKILL + requeue a worker whose\n"
-        "                            cell produced no frame for N s\n"
-        "                            (default 0 = watchdog off)\n"
-        "  --max-retries N           requeue budget per cell; one more\n"
-        "                            worker death quarantines the cell\n"
-        "                            (default 2)\n"
-        "  --no-respawn              do not refill dead worker slots\n"
-        "                            (respawn with backoff is on by\n"
-        "                            default)\n"
-        "\n"
-        "discovery:\n"
-        "  --list-programs           print modelled SPEC2000 programs\n"
-        "  --list-groups             print Table 2 workloads\n"
-        "  --help                    this text\n");
-}
+/** The subcommands, as bits of Flag::subs. */
+enum : unsigned {
+    kRun = 1u << 0,
+    kReport = 1u << 1,
+    kVerify = 1u << 2,
+    kSweep = 1u << 3,
+    kFarm = 1u << 4,
+    kWorker = 1u << 5, ///< `--farm-worker`; never in --help
+    kRunLike = kRun | kReport,
+    kOneRun = kRunLike | kVerify,
+    kGrid = kSweep | kFarm,
+    kEvery = kOneRun | kGrid,
+};
 
-/**
- * Handle a discovery/help flag in an option position (prints and
- * exits). Never called for option *values*: those are consumed by
- * next() before the parse loop sees them, so
- * `--workload --list-programs` still fails as a bad workload.
- */
-void
-handleDiscovery(const std::string &arg)
-{
-    if (arg == "--help" || arg == "-h") {
-        usage();
-        std::exit(0);
-    }
-    if (arg == "--list-programs") {
-        for (const auto &name : trace::spec2000Names())
-            std::printf("%s\n", name.c_str());
-        std::exit(0);
-    }
-    if (arg == "--list-groups") {
-        for (const sim::WorkloadGroup g : sim::allGroups()) {
-            std::printf("%s:\n", sim::groupName(g));
-            for (const sim::Workload &w : sim::workloadsOf(g))
-                std::printf("  %s\n", w.name.c_str());
-        }
-        std::exit(0);
-    }
-}
+struct Sub {
+    const char *name;
+    unsigned bit;
+    const char *summary; ///< null: not listed by --help
+};
+
+const Sub kSubs[] = {
+    {"run", kRun, "one workload or Table 2 group, human output"},
+    {"report", kReport, "the same run, structured JSON/CSV output"},
+    {"verify", kVerify, "determinism audit of one workload's mode grid"},
+    {"sweep", kSweep, "campaign over a config grid, optional cache"},
+    {"farm", kFarm, "the sweep grid on crash-safe worker processes"},
+    {"--farm-worker", kWorker, nullptr},
+};
 
 core::PolicyKind
 parsePolicy(const std::string &name)
@@ -245,6 +111,344 @@ splitWorkloads(const std::string &list)
         workloads.push_back(
             sim::Workload::fromPrograms(splitPrograms(item)));
     return workloads;
+}
+
+/**
+ * What a command line sets. The flag setters write the structs the
+ * subcommands run (`spec.base` is every subcommand's model config);
+ * the other members are read once parsing is done.
+ */
+struct Cli {
+    const Sub *sub = &kSubs[0];
+    bool bare = true; ///< no subcommand named: `ratsim run`
+
+    /** The flag being set, and its value (null for a switch). */
+    const char *flag = nullptr;
+    const char *value = nullptr;
+    std::uint64_t u64() const { return parseU64(value, flag); }
+    unsigned u32() const { return parseUnsigned(value, flag); }
+
+    sim::CampaignSpec spec;
+    sim::FarmOptions farm;
+    check::VerifyOptions verify;
+    sim::SimConfig &cfg() { return spec.base; }
+    core::RatConfig &rat() { return spec.base.core.rat; }
+    /** cfg() for a --sample-* / --phase-* flag; they need --sampled. */
+    sim::SimConfig &tuned()
+    {
+        sampledParams = true;
+        return spec.base;
+    }
+
+    std::string workload = "art,mcf"; ///< run, report, verify
+    std::string group;
+    std::string policy = "RaT";
+    bool fairness = false;
+    std::string policies = "ICOUNT,RaT"; ///< sweep, farm
+    std::optional<std::string> groups;
+    std::optional<std::string> workloads;
+    std::string json;
+    std::string csv;
+    /** A tuned() flag was given (validateSampled diagnoses it
+     * without --sampled). */
+    bool sampledParams = false;
+    unsigned workerId = 0; ///< --farm-worker
+    std::uint64_t killAfter = 0;
+};
+
+/** `ratsim --help`, or `ratsim <subcommand> --help`. */
+void printHelp(const Cli &c);
+
+/** A ROB or register-file size: with 0 the core never dispatches. */
+unsigned
+coreSize(const char *text, const char *flag)
+{
+    const unsigned size = parseUnsigned(text, flag);
+    if (size == 0)
+        fatal("%s: a size of 0 builds a core that never dispatches",
+              flag);
+    return size;
+}
+
+/** A comma-separated sweep axis of coreSize values. */
+std::vector<unsigned>
+coreSizeAxis(const Cli &c)
+{
+    std::vector<unsigned> values;
+    for (const std::string &item : splitList(c.value, ','))
+        values.push_back(coreSize(item.c_str(), c.flag));
+    if (values.empty())
+        fatal("%s: expected a comma-separated list of unsigned "
+              "integers, got '%s'",
+              c.flag, c.value);
+    return values;
+}
+
+struct Flag {
+    const char *name;
+    const char *metavar; ///< the value's placeholder; null: a switch
+    unsigned subs;       ///< the subcommands that take it
+    const char *help;    ///< a '\n' continues on the next line
+    void (*set)(Cli &);
+};
+
+/**
+ * Every flag of every subcommand. A flag that means one thing in
+ * several subcommands is one entry; --regs, --rob, --measure and
+ * --ra-variant set one value in run/report/verify and a grid axis in
+ * sweep/farm, so they have an entry for each meaning.
+ */
+const Flag kFlags[] = {
+    {"--workload", "P1,P2[,P3,P4]", kOneRun,
+     "programs to co-run (default art,mcf)",
+     [](Cli &c) { c.workload = c.value; }},
+    {"--group", "NAME", kOneRun,
+     "a whole Table 2 group (verify refuses it)",
+     [](Cli &c) { c.group = c.value; }},
+    {"--policy", "NAME", kOneRun,
+     "ICOUNT STALL FLUSH DCRA HillClimbing RaT\n"
+     "RaT+DCRA MLP RR (default RaT)",
+     [](Cli &c) { c.policy = c.value; }},
+    {"--measure", "N", kOneRun, "measured cycles (default 100000)",
+     [](Cli &c) { c.cfg().measureCycles = c.u64(); }},
+    {"--seed", "N", kOneRun, "workload seed (default 1)",
+     [](Cli &c) { c.cfg().seed = c.u64(); }},
+    {"--regs", "N", kOneRun, "INT and FP renaming registers",
+     [](Cli &c) {
+         c.cfg().core.intRegs = c.cfg().core.fpRegs =
+             coreSize(c.value, c.flag);
+     }},
+    {"--rob", "N", kOneRun, "shared reorder-buffer entries",
+     [](Cli &c) { c.cfg().core.robEntries = coreSize(c.value, c.flag); }},
+    {"--digest-window", "N", kOneRun,
+     "record a state digest every N cycles (default\n"
+     "off; verify compares them, default 256)",
+     [](Cli &c) { c.cfg().digestWindow = c.u64(); }},
+    {"--check-level", "LEVEL", kOneRun,
+     "invariant audits: off (default) sampled full",
+     [](Cli &c) {
+         using core::CheckLevel;
+         for (const CheckLevel level :
+              {CheckLevel::Off, CheckLevel::Sampled, CheckLevel::Full}) {
+             if (c.value == std::string(core::checkLevelName(level))) {
+                 c.cfg().core.checkLevel = level;
+                 return;
+             }
+         }
+         fatal("%s: unknown level '%s' (off, sampled, full)", c.flag,
+               c.value);
+     }},
+    {"--check-interval", "N", kOneRun,
+     "cycles between sampled audits (default 64)",
+     [](Cli &c) { c.cfg().core.checkInterval = c.u32(); }},
+    {"--fairness", nullptr, kRunLike, "also compute Eq. 2 fairness",
+     [](Cli &c) { c.fairness = true; }},
+    {"--ra-variant", "NAME", kRunLike,
+     "classic (default), capped or useless-filter",
+     [](Cli &c) { c.rat().variant = parseVariant(c.value); }},
+    {"--trace-out", "PATH", kRunLike,
+     "Chrome trace-event JSON of the measured window\n"
+     "('-' = stdout), for Perfetto",
+     [](Cli &c) { c.cfg().traceOut = c.value; }},
+    {"--trace-categories", "LIST", kRunLike,
+     "comma list of fetch,sched,mem,runahead,all",
+     [](Cli &c) {
+         if (!obs::parseTraceCategories(c.value, c.cfg().traceCategories))
+             fatal("%s: unknown category in '%s' (expected %s)", c.flag,
+                   c.value, obs::traceCategoryNames());
+     }},
+    {"--mutate-at", "N", kVerify,
+     "flip one state bit N cycles into the measured\n"
+     "window: exit 1 if bisected, 2 if missed",
+     [](Cli &c) { c.verify.mutateAt = c.u64(); }},
+    {"--policies", "A,B,...", kGrid, "techniques (default ICOUNT,RaT)",
+     [](Cli &c) { c.policies = c.value; }},
+    {"--groups", "G1,G2,...", kGrid, "Table 2 groups to sweep",
+     [](Cli &c) { c.groups = c.value; }},
+    {"--workloads", "W1;W2;...", kGrid,
+     "explicit workloads, ';'-separated (default\n"
+     "art,mcf when no --groups)",
+     [](Cli &c) { c.workloads = c.value; }},
+    {"--ra-variant", "V1,V2,...", kGrid, "runahead-variant axis",
+     [](Cli &c) {
+         for (const std::string &name : splitList(c.value, ','))
+             c.spec.raVariantAxis.push_back(parseVariant(name));
+         if (c.spec.raVariantAxis.empty())
+             fatal("%s: expected a comma-separated list of variants",
+                   c.flag);
+     }},
+    {"--regs", "N1,N2,...", kGrid, "renaming-register axis",
+     [](Cli &c) { c.spec.regsAxis = coreSizeAxis(c); }},
+    {"--rob", "N1,N2,...", kGrid, "ROB-size axis",
+     [](Cli &c) { c.spec.robAxis = coreSizeAxis(c); }},
+    {"--measure", "N1,N2,...", kGrid, "measured-window axis",
+     [](Cli &c) { c.spec.measureAxis = parseU64List(c.value, c.flag); }},
+    {"--seeds", "N1,N2,...", kGrid, "seed axis",
+     [](Cli &c) { c.spec.seedAxis = parseU64List(c.value, c.flag); }},
+    {"--jobs", "N", kGrid, "worker threads (default: hardware)",
+     [](Cli &c) { c.spec.parallelism = c.u32(); }},
+    {"--cache", "DIR", kGrid | kWorker, "on-disk result cache directory",
+     [](Cli &c) { c.spec.cacheDir = c.value; }},
+    {"--workers", "N", kFarm, "worker processes (default: hardware)",
+     [](Cli &c) { c.farm.workers = c.u32(); }},
+    {"--shards", "N", kFarm,
+     "job shards (default: 4x workers); idle workers\n"
+     "steal straggler shards",
+     [](Cli &c) { c.farm.shards = c.u32(); }},
+    {"--progress", nullptr, kFarm,
+     "live cells/steals/deaths/ETA line on stderr",
+     [](Cli &c) { c.farm.progress = true; }},
+    {"--job-timeout", "N", kFarm,
+     "kill + requeue a worker silent for N s (0 = off)",
+     [](Cli &c) { c.farm.jobTimeoutSec = c.u32(); }},
+    {"--max-retries", "N", kFarm,
+     "requeues of a cell before quarantine (default 2)",
+     [](Cli &c) { c.farm.maxRetries = c.u32(); }},
+    {"--no-respawn", nullptr, kFarm,
+     "do not refill dead worker slots",
+     [](Cli &c) { c.farm.respawn = false; }},
+    {"--worker-id", "N", kWorker, "worker slot, for log prefixes",
+     [](Cli &c) { c.workerId = c.u32(); }},
+    {"--test-kill-after", "N", kWorker, "die after N cells (farm tests)",
+     [](Cli &c) { c.killAfter = c.u64(); }},
+    {"--warmup", "N", kEvery, "timed warm-up cycles (default 20000)",
+     [](Cli &c) { c.cfg().warmupCycles = c.u64(); }},
+    {"--prewarm", "N", kEvery, "functional warm-up insts (default 1M)",
+     [](Cli &c) { c.cfg().prewarmInsts = c.u64(); }},
+    {"--ra-cap", "N", kEvery, "capped variant: max episode cycles",
+     [](Cli &c) { c.rat().cappedMaxCycles = c.u32(); }},
+    {"--ra-filter-threshold", "N", kEvery,
+     "useless-filter: useless episodes of a PC\n"
+     "before it stops entering",
+     [](Cli &c) { c.rat().uselessFilterThreshold = c.u32(); }},
+    {"--ra-filter-reprobe", "N", kEvery,
+     "useless-filter: reprobe every Nth load (0 = never)",
+     [](Cli &c) { c.rat().uselessFilterReprobe = c.u32(); }},
+    {"--ra-cache-lines", "N", kEvery, "runahead-cache lines per thread",
+     [](Cli &c) { c.rat().runaheadCacheLines = c.u32(); }},
+    {"--no-fp-drop", nullptr, kEvery, "execute FP work in runahead",
+     [](Cli &c) { c.rat().dropFpInRunahead = false; }},
+    {"--runahead-cache", nullptr, kEvery, "enable the runahead cache",
+     [](Cli &c) { c.rat().useRunaheadCache = true; }},
+    {"--no-prefetch", nullptr, kEvery,
+     "Fig. 4 ablation: no runahead prefetch",
+     [](Cli &c) { c.rat().disablePrefetch = true; }},
+    {"--no-ra-fetch", nullptr, kEvery,
+     "Fig. 4 ablation: no fetch in runahead",
+     [](Cli &c) { c.rat().noFetchInRunahead = true; }},
+    {"--no-cycle-skip", nullptr, kRunLike | kSweep,
+     "tick every cycle: no quiescence fast-forward",
+     [](Cli &c) { c.cfg().core.cycleSkipping = false; }},
+    {"--sample-window", "N", kRunLike | kGrid,
+     "windowed telemetry every N cycles (default off)",
+     [](Cli &c) { c.cfg().sampleWindow = c.u64(); }},
+    {"--sampled", nullptr, kEvery,
+     "estimate from one checkpointed sample per phase\n"
+     "(verify and the digest/trace flags refuse it)",
+     [](Cli &c) { c.cfg().sampled = true; }},
+    {"--sample-phases", "N", kEvery,
+     "phases / representative samples (default 4)",
+     [](Cli &c) { c.tuned().samplePhases = c.u32(); }},
+    {"--phase-window", "N", kEvery,
+     "instructions per profile window (default 2048)",
+     [](Cli &c) { c.tuned().phaseWindow = c.u64(); }},
+    {"--phase-span", "N", kEvery,
+     "profiled windows past prewarm (default 64)",
+     [](Cli &c) { c.tuned().phaseSpanWindows = c.u32(); }},
+    {"--sample-warmup", "N", kEvery,
+     "detailed warm-up cycles per sample (default 1000)",
+     [](Cli &c) { c.tuned().sampleWarmupCycles = c.u64(); }},
+    {"--sample-measure", "N", kEvery,
+     "measured cycles per sample (default 4000)",
+     [](Cli &c) { c.tuned().sampleMeasureCycles = c.u64(); }},
+    {"--json", "PATH", kReport | kGrid, "write JSON ('-' = stdout)",
+     [](Cli &c) { c.json = c.value; }},
+    {"--csv", "PATH", kReport | kGrid, "write CSV ('-' = stdout)",
+     [](Cli &c) { c.csv = c.value; }},
+    {"--list-programs", nullptr, kEvery, "print modelled SPEC2000 programs",
+     [](Cli &) {
+         for (const auto &name : trace::spec2000Names())
+             std::printf("%s\n", name.c_str());
+         std::exit(0);
+     }},
+    {"--list-groups", nullptr, kEvery, "print Table 2 workloads",
+     [](Cli &) {
+         for (const sim::WorkloadGroup g : sim::allGroups()) {
+             std::printf("%s:\n", sim::groupName(g));
+             for (const sim::Workload &w : sim::workloadsOf(g))
+                 std::printf("  %s\n", w.name.c_str());
+         }
+         std::exit(0);
+     }},
+    {"--help", nullptr, kEvery, "this text (also -h)",
+     [](Cli &c) {
+         printHelp(c);
+         std::exit(0);
+     }},
+};
+
+void
+printHelp(const Cli &c)
+{
+    std::printf("ratsim — Runahead Threads SMT simulator (HPCA 2008 "
+                "reproduction)\n\n");
+    if (c.bare) {
+        std::printf("usage: ratsim [run|report|verify|sweep|farm] "
+                    "[options]\n       ratsim <subcommand> --help\n\n");
+        for (const Sub &s : kSubs)
+            if (s.summary)
+                std::printf("  %-8s %s\n", s.name, s.summary);
+        std::printf("\noptions of `ratsim [options]`, which is `ratsim "
+                    "run`:\n");
+    } else {
+        std::printf("usage: ratsim %s [options]\n  %s\n\noptions:\n",
+                    c.sub->name, c.sub->summary);
+    }
+    for (const Flag &f : kFlags) {
+        if (!(f.subs & c.sub->bit))
+            continue;
+        std::printf("  %s %-*s  ", f.name,
+                    23 - static_cast<int>(std::strlen(f.name)),
+                    f.metavar ? f.metavar : "");
+        for (const char *p = f.help; *p; ++p) {
+            std::putchar(*p);
+            if (*p == '\n')
+                std::printf("%28s", "");
+        }
+        std::putchar('\n');
+    }
+}
+
+/**
+ * Set every flag of @p args through kFlags. A flag's value is consumed
+ * here, before it could be matched as a flag, so
+ * `--workload --list-programs` fails as a bad workload.
+ */
+void
+parseFlags(Cli &c, const std::vector<std::string> &args)
+{
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        const std::string name = arg == "-h" ? "--help" : arg;
+        const Flag *flag = nullptr;
+        for (const Flag &f : kFlags)
+            if ((f.subs & c.sub->bit) && name == f.name)
+                flag = &f;
+        if (!flag) {
+            if (c.sub->bit == kWorker)
+                fatal("farm worker: unknown option '%s'", arg.c_str());
+            printHelp(c);
+            fatal("unknown option '%s'", arg.c_str());
+        }
+        c.flag = flag->name;
+        c.value = nullptr;
+        if (flag->metavar) {
+            if (i + 1 >= args.size())
+                fatal("option %s needs a value", arg.c_str());
+            c.value = args[++i].c_str();
+        }
+        flag->set(c);
+    }
 }
 
 /** Write @p text to @p path, with "-" meaning stdout. */
@@ -291,20 +495,6 @@ printRun(const sim::SimResult &r, const sim::BaselineIpcMap *baselines)
         std::printf("fairness (Eq.2):   %.3f\n",
                     sim::fairness(r, *baselines));
 }
-
-/** Options shared by the run and report subcommands. */
-struct RunOptions {
-    std::string workloadList = "art,mcf";
-    std::string groupName;
-    std::string policyName = "RaT";
-    sim::SimConfig cfg;
-    bool withFairness = false;
-    /** A --sample-* / --phase-* tuning flag was given (they require
-     * --sampled; validateSampled diagnoses the orphan case). */
-    bool sampledParams = false;
-    std::string jsonPath; ///< report only
-    std::string csvPath;  ///< report only
-};
 
 /**
  * The one home for cross-flag coherence of sampled simulation: every
@@ -353,182 +543,57 @@ validateSampled(const sim::SimConfig &cfg, bool sampled_params_given,
         fatal("--sample-measure needs a non-zero measured window");
 }
 
-/**
- * Parse one run/report/common option at @p args[i]; returns false when
- * the option is unknown. @p i advances past consumed values.
- */
-bool
-parseRunOption(const std::vector<std::string> &args, std::size_t &i,
-               RunOptions &opt, bool structured)
-{
-    const std::string &arg = args[i];
-    auto next = [&]() -> const char * {
-        if (i + 1 >= args.size())
-            fatal("option %s needs a value", arg.c_str());
-        return args[++i].c_str();
-    };
-    handleDiscovery(arg); // exits on --help / --list-*
-    if (arg == "--workload") {
-        opt.workloadList = next();
-    } else if (arg == "--group") {
-        opt.groupName = next();
-    } else if (arg == "--policy") {
-        opt.policyName = next();
-    } else if (arg == "--measure") {
-        opt.cfg.measureCycles = parseU64(next(), "--measure");
-    } else if (arg == "--warmup") {
-        opt.cfg.warmupCycles = parseU64(next(), "--warmup");
-    } else if (arg == "--prewarm") {
-        opt.cfg.prewarmInsts = parseU64(next(), "--prewarm");
-    } else if (arg == "--seed") {
-        opt.cfg.seed = parseU64(next(), "--seed");
-    } else if (arg == "--regs") {
-        const unsigned regs = parseUnsigned(next(), "--regs");
-        opt.cfg.core.intRegs = regs;
-        opt.cfg.core.fpRegs = regs;
-    } else if (arg == "--rob") {
-        opt.cfg.core.robEntries = parseUnsigned(next(), "--rob");
-    } else if (arg == "--fairness") {
-        opt.withFairness = true;
-    } else if (arg == "--ra-variant") {
-        opt.cfg.core.rat.variant = parseVariant(next());
-    } else if (arg == "--ra-cap") {
-        opt.cfg.core.rat.cappedMaxCycles =
-            parseUnsigned(next(), "--ra-cap");
-    } else if (arg == "--ra-filter-threshold") {
-        opt.cfg.core.rat.uselessFilterThreshold =
-            parseUnsigned(next(), "--ra-filter-threshold");
-    } else if (arg == "--ra-filter-reprobe") {
-        opt.cfg.core.rat.uselessFilterReprobe =
-            parseUnsigned(next(), "--ra-filter-reprobe");
-    } else if (arg == "--ra-cache-lines") {
-        opt.cfg.core.rat.runaheadCacheLines =
-            parseUnsigned(next(), "--ra-cache-lines");
-    } else if (arg == "--no-fp-drop") {
-        opt.cfg.core.rat.dropFpInRunahead = false;
-    } else if (arg == "--runahead-cache") {
-        opt.cfg.core.rat.useRunaheadCache = true;
-    } else if (arg == "--no-prefetch") {
-        opt.cfg.core.rat.disablePrefetch = true;
-    } else if (arg == "--no-ra-fetch") {
-        opt.cfg.core.rat.noFetchInRunahead = true;
-    } else if (arg == "--no-cycle-skip") {
-        opt.cfg.core.cycleSkipping = false;
-    } else if (arg == "--trace-out") {
-        opt.cfg.traceOut = next();
-    } else if (arg == "--trace-categories") {
-        const char *list = next();
-        if (!obs::parseTraceCategories(list, opt.cfg.traceCategories))
-            fatal("--trace-categories: unknown category in '%s' "
-                  "(expected %s)",
-                  list, obs::traceCategoryNames());
-    } else if (arg == "--sample-window") {
-        opt.cfg.sampleWindow = parseU64(next(), "--sample-window");
-    } else if (arg == "--digest-window") {
-        opt.cfg.digestWindow = parseU64(next(), "--digest-window");
-    } else if (arg == "--check-level") {
-        const std::string level = next();
-        if (level == "off")
-            opt.cfg.core.checkLevel = core::CheckLevel::Off;
-        else if (level == "sampled")
-            opt.cfg.core.checkLevel = core::CheckLevel::Sampled;
-        else if (level == "full")
-            opt.cfg.core.checkLevel = core::CheckLevel::Full;
-        else
-            fatal("--check-level: unknown level '%s' (off, sampled, "
-                  "full)",
-                  level.c_str());
-    } else if (arg == "--check-interval") {
-        opt.cfg.core.checkInterval =
-            parseUnsigned(next(), "--check-interval");
-    } else if (arg == "--sampled") {
-        opt.cfg.sampled = true;
-    } else if (arg == "--sample-phases") {
-        opt.cfg.samplePhases = parseUnsigned(next(), "--sample-phases");
-        opt.sampledParams = true;
-    } else if (arg == "--phase-window") {
-        opt.cfg.phaseWindow = parseU64(next(), "--phase-window");
-        opt.sampledParams = true;
-    } else if (arg == "--phase-span") {
-        opt.cfg.phaseSpanWindows =
-            parseUnsigned(next(), "--phase-span");
-        opt.sampledParams = true;
-    } else if (arg == "--sample-warmup") {
-        opt.cfg.sampleWarmupCycles =
-            parseU64(next(), "--sample-warmup");
-        opt.sampledParams = true;
-    } else if (arg == "--sample-measure") {
-        opt.cfg.sampleMeasureCycles =
-            parseU64(next(), "--sample-measure");
-        opt.sampledParams = true;
-    } else if (structured && arg == "--json") {
-        opt.jsonPath = next();
-    } else if (structured && arg == "--csv") {
-        opt.csvPath = next();
-    } else {
-        return false;
-    }
-    return true;
-}
-
 /** `ratsim run` / legacy bare invocation / `ratsim report`. */
 int
-runCommand(const std::vector<std::string> &args, bool structured)
+runCommand(Cli &c)
 {
-    RunOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (!parseRunOption(args, i, opt, structured)) {
-            usage();
-            fatal("unknown option '%s'", args[i].c_str());
-        }
-    }
-    opt.cfg.core.policy = parsePolicy(opt.policyName);
-    validateSampled(opt.cfg, opt.sampledParams,
-                    !opt.groupName.empty() || opt.withFairness,
+    const bool structured = c.sub->bit == kReport;
+    sim::SimConfig &base = c.cfg();
+    base.core.policy = parsePolicy(c.policy);
+    validateSampled(base, c.sampledParams,
+                    !c.group.empty() || c.fairness,
                     /*verify_mode=*/false);
-    if (!opt.groupName.empty() && !opt.cfg.traceOut.empty())
+    if (!c.group.empty() && !base.traceOut.empty())
         fatal("--trace-out traces one run; --group runs every workload "
               "of the group into the same file (drop --trace-out or "
               "--group)");
     // Structured output defaults to JSON on stdout.
-    if (structured && opt.jsonPath.empty() && opt.csvPath.empty())
-        opt.jsonPath = "-";
+    if (structured && c.json.empty() && c.csv.empty())
+        c.json = "-";
 
     // The run as a campaign: a --group runs through it, and the Eq. 2
     // baselines are its baselineSpec.
-    const sim::TechniqueSpec tech{opt.policyName, opt.cfg.core.policy,
-                                  opt.cfg.core.rat};
-    sim::CampaignSpec spec;
-    spec.base = opt.cfg;
+    const sim::TechniqueSpec tech{c.policy, base.core.policy,
+                                  base.core.rat};
+    sim::CampaignSpec &spec = c.spec;
     spec.techniques = {tech};
 
-    if (!opt.groupName.empty()) {
-        const auto group = sim::parseGroup(opt.groupName);
+    if (!c.group.empty()) {
+        const auto group = sim::parseGroup(c.group);
         if (!group)
-            fatal("unknown group '%s'", opt.groupName.c_str());
+            fatal("unknown group '%s'", c.group.c_str());
         spec.groups = {*group};
         const sim::CampaignOutcome baselines =
             sim::runCampaign(sim::baselineSpec(spec));
         const sim::GroupMetrics gm =
             sim::groupMetrics(spec, sim::runCampaign(spec), &baselines)[0][0];
         if (structured) {
-            if (!opt.jsonPath.empty()) {
+            if (!c.json.empty()) {
                 report::Json j = report::Json::object();
                 j["schema"] = report::Json("ratsim-group-v1");
                 // Effective config: every run in the group uses the
                 // group's thread count, not the base default.
                 j["config"] = report::toJson(sim::configFor(
-                    opt.cfg, tech, sim::groupThreads(*group)));
+                    base, tech, sim::groupThreads(*group)));
                 j["groupMetrics"] = report::toJson(gm);
-                writeOutput(opt.jsonPath, j.dump(2), "JSON");
+                writeOutput(c.json, j.dump(2), "JSON");
             }
-            if (!opt.csvPath.empty())
-                writeOutput(opt.csvPath,
-                            report::groupMetricsCsv(gm).dump(), "CSV");
+            if (!c.csv.empty())
+                writeOutput(c.csv, report::groupMetricsCsv(gm).dump(),
+                            "CSV");
             return 0;
         }
-        std::printf("%s under %s:\n", opt.groupName.c_str(),
-                    opt.policyName.c_str());
+        std::printf("%s under %s:\n", c.group.c_str(), c.policy.c_str());
         const auto &workloads = sim::workloadsOf(*group);
         for (std::size_t i = 0; i < workloads.size(); ++i) {
             std::printf("  %-28s throughput %.3f\n",
@@ -542,29 +607,29 @@ runCommand(const std::vector<std::string> &args, bool structured)
     }
 
     const sim::Workload w =
-        sim::Workload::fromPrograms(splitPrograms(opt.workloadList));
+        sim::Workload::fromPrograms(splitPrograms(c.workload));
     const sim::SimConfig cfg = sim::configFor(
-        opt.cfg, tech, static_cast<unsigned>(w.programs.size()));
+        base, tech, static_cast<unsigned>(w.programs.size()));
     // Sampled runs dispatch through the same cell runner the
     // campaign/farm use: profile, checkpoint, per-phase samples,
     // merged extrapolation. Exact runs keep the existing path
     // bit-for-bit.
-    const sim::SimResult r = opt.cfg.sampled
+    const sim::SimResult r = base.sampled
                                  ? sim::simulateCell(cfg, w.programs)
                                  : sim::Simulator(cfg, w.programs).run();
     std::optional<sim::BaselineIpcMap> baselines;
-    if (opt.withFairness) {
+    if (c.fairness) {
         spec.workloads = {w};
         baselines = sim::baselineIpcs(
             sim::runCampaign(sim::baselineSpec(spec)));
     }
 
     if (structured) {
-        if (!opt.jsonPath.empty()) {
+        if (!c.json.empty()) {
             report::Json j = report::Json::object();
             j["schema"] = report::Json("ratsim-run-v1");
             j["workload"] = report::Json(w.name);
-            j["technique"] = report::Json(opt.policyName);
+            j["technique"] = report::Json(c.policy);
             j["config"] = report::toJson(cfg);
             j["metrics"] = report::resultMetricsJson(r);
             // Engine stats ride only on this always-fresh path; they
@@ -573,18 +638,17 @@ runCommand(const std::vector<std::string> &args, bool structured)
             if (baselines)
                 j["fairness"] = report::Json(sim::fairness(r, *baselines));
             j["result"] = report::toJson(r);
-            writeOutput(opt.jsonPath, j.dump(2), "JSON");
+            writeOutput(c.json, j.dump(2), "JSON");
         }
-        if (!opt.csvPath.empty())
-            writeOutput(opt.csvPath, report::threadResultsCsv(r).dump(),
-                        "CSV");
+        if (!c.csv.empty())
+            writeOutput(c.csv, report::threadResultsCsv(r).dump(), "CSV");
         return 0;
     }
 
     std::printf("workload %s under %s (%llu measured cycles%s)\n\n",
-                w.name.c_str(), opt.policyName.c_str(),
-                static_cast<unsigned long long>(opt.cfg.measureCycles),
-                opt.cfg.sampled ? ", sampled" : "");
+                w.name.c_str(), c.policy.c_str(),
+                static_cast<unsigned long long>(base.measureCycles),
+                base.sampled ? ", sampled" : "");
     printRun(r, baselines ? &*baselines : nullptr);
     if (r.sampled.enabled && r.sampled.merged)
         std::printf("sampled: %u phases over %llu profiled windows "
@@ -606,38 +670,23 @@ runCommand(const std::vector<std::string> &args, bool structured)
  * undetected (the digest itself is broken).
  */
 int
-verifyCommand(const std::vector<std::string> &args)
+verifyCommand(Cli &c)
 {
-    RunOptions opt;
-    check::VerifyOptions vopt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= args.size())
-                fatal("option %s needs a value", arg.c_str());
-            return args[++i].c_str();
-        };
-        if (arg == "--mutate-at") {
-            vopt.mutateAt = parseU64(next(), "--mutate-at");
-        } else if (!parseRunOption(args, i, opt, false)) {
-            usage();
-            fatal("unknown option '%s'", arg.c_str());
-        }
-    }
-    if (!opt.groupName.empty())
+    if (!c.group.empty())
         fatal("verify audits one workload (--workload), not a group");
-    validateSampled(opt.cfg, opt.sampledParams,
+    validateSampled(c.cfg(), c.sampledParams,
                     /*group_or_fairness=*/false, /*verify_mode=*/true);
-    opt.cfg.core.policy = parsePolicy(opt.policyName);
-    vopt.base = opt.cfg;
-    vopt.programs = splitPrograms(opt.workloadList);
-    if (opt.cfg.digestWindow)
-        vopt.digestWindow = opt.cfg.digestWindow;
+    c.cfg().core.policy = parsePolicy(c.policy);
+    check::VerifyOptions &vopt = c.verify;
+    vopt.base = c.cfg();
+    vopt.programs = splitPrograms(c.workload);
+    if (c.cfg().digestWindow)
+        vopt.digestWindow = c.cfg().digestWindow;
     vopt.base.digestWindow = 0; // per-leg windows are set by the driver
 
     std::printf("verify: workload %s under %s (%llu measured cycles, "
                 "digest window %llu%s)\n",
-                opt.workloadList.c_str(), opt.policyName.c_str(),
+                c.workload.c_str(), c.policy.c_str(),
                 static_cast<unsigned long long>(
                     vopt.base.measureCycles),
                 static_cast<unsigned long long>(vopt.digestWindow),
@@ -693,169 +742,43 @@ printPrewarmLine(const sim::CampaignOutcome &outcome)
  * completed farm produces byte-identical JSON/CSV to the sweep.
  */
 int
-sweepCommand(const std::vector<std::string> &args, bool farm_mode)
+sweepCommand(Cli &c)
 {
-    sim::CampaignSpec spec;
-    sim::FarmOptions farm_options;
-    std::string policies = "ICOUNT,RaT";
-    std::string groups;
-    std::string workloads;
-    bool groups_given = false;
-    bool workloads_given = false;
-    std::string json_path, csv_path;
-    core::RatConfig rat_flags;
-    bool sampled_params = false;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= args.size())
-                fatal("option %s needs a value", arg.c_str());
-            return args[++i].c_str();
-        };
-        auto unsignedAxis = [](const char *text, const char *what) {
-            std::vector<unsigned> values;
-            for (const std::string &item : splitList(text, ','))
-                values.push_back(parseUnsigned(item.c_str(), what));
-            if (values.empty())
-                fatal("%s: expected a comma-separated list of unsigned "
-                      "integers, got '%s'",
-                      what, text);
-            return values;
-        };
-        handleDiscovery(arg); // exits on --help / --list-*
-        if (arg == "--policies") {
-            policies = next();
-        } else if (arg == "--groups") {
-            groups = next();
-            groups_given = true;
-        } else if (arg == "--workloads") {
-            workloads = next();
-            workloads_given = true;
-        } else if (arg == "--regs") {
-            spec.regsAxis = unsignedAxis(next(), "--regs");
-        } else if (arg == "--rob") {
-            spec.robAxis = unsignedAxis(next(), "--rob");
-        } else if (arg == "--measure") {
-            spec.measureAxis = parseU64List(next(), "--measure");
-        } else if (arg == "--seeds") {
-            spec.seedAxis = parseU64List(next(), "--seeds");
-        } else if (arg == "--warmup") {
-            spec.base.warmupCycles = parseU64(next(), "--warmup");
-        } else if (arg == "--prewarm") {
-            spec.base.prewarmInsts = parseU64(next(), "--prewarm");
-        } else if (arg == "--ra-variant") {
-            for (const std::string &name : splitList(next(), ','))
-                spec.raVariantAxis.push_back(parseVariant(name));
-            if (spec.raVariantAxis.empty())
-                fatal("--ra-variant: expected a comma-separated list of "
-                      "variants");
-        } else if (arg == "--ra-cap") {
-            rat_flags.cappedMaxCycles = parseUnsigned(next(), "--ra-cap");
-        } else if (arg == "--ra-filter-threshold") {
-            rat_flags.uselessFilterThreshold =
-                parseUnsigned(next(), "--ra-filter-threshold");
-        } else if (arg == "--ra-filter-reprobe") {
-            rat_flags.uselessFilterReprobe =
-                parseUnsigned(next(), "--ra-filter-reprobe");
-        } else if (arg == "--ra-cache-lines") {
-            rat_flags.runaheadCacheLines =
-                parseUnsigned(next(), "--ra-cache-lines");
-        } else if (arg == "--cache") {
-            spec.cacheDir = next();
-        } else if (arg == "--jobs") {
-            spec.parallelism = parseUnsigned(next(), "--jobs");
-        } else if (farm_mode && arg == "--workers") {
-            farm_options.workers = parseUnsigned(next(), "--workers");
-        } else if (farm_mode && arg == "--shards") {
-            farm_options.shards = parseUnsigned(next(), "--shards");
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--csv") {
-            csv_path = next();
-        } else if (arg == "--no-fp-drop") {
-            rat_flags.dropFpInRunahead = false;
-        } else if (arg == "--runahead-cache") {
-            rat_flags.useRunaheadCache = true;
-        } else if (arg == "--no-prefetch") {
-            rat_flags.disablePrefetch = true;
-        } else if (arg == "--no-ra-fetch") {
-            rat_flags.noFetchInRunahead = true;
-        } else if (!farm_mode && arg == "--no-cycle-skip") {
-            // Host-only: farm workers would never see it (runFarm).
-            spec.base.core.cycleSkipping = false;
-        } else if (arg == "--sample-window") {
-            spec.base.sampleWindow =
-                parseU64(next(), "--sample-window");
-        } else if (arg == "--sampled") {
-            spec.base.sampled = true;
-        } else if (arg == "--sample-phases") {
-            spec.base.samplePhases =
-                parseUnsigned(next(), "--sample-phases");
-            sampled_params = true;
-        } else if (arg == "--phase-window") {
-            spec.base.phaseWindow = parseU64(next(), "--phase-window");
-            sampled_params = true;
-        } else if (arg == "--phase-span") {
-            spec.base.phaseSpanWindows =
-                parseUnsigned(next(), "--phase-span");
-            sampled_params = true;
-        } else if (arg == "--sample-warmup") {
-            spec.base.sampleWarmupCycles =
-                parseU64(next(), "--sample-warmup");
-            sampled_params = true;
-        } else if (arg == "--sample-measure") {
-            spec.base.sampleMeasureCycles =
-                parseU64(next(), "--sample-measure");
-            sampled_params = true;
-        } else if (farm_mode && arg == "--progress") {
-            farm_options.progress = true;
-        } else if (farm_mode && arg == "--job-timeout") {
-            farm_options.jobTimeoutSec =
-                parseUnsigned(next(), "--job-timeout");
-        } else if (farm_mode && arg == "--max-retries") {
-            farm_options.maxRetries =
-                parseUnsigned(next(), "--max-retries");
-        } else if (farm_mode && arg == "--no-respawn") {
-            farm_options.respawn = false;
-        } else {
-            usage();
-            fatal("unknown option '%s'", arg.c_str());
-        }
-    }
-
-    validateSampled(spec.base, sampled_params,
+    sim::CampaignSpec &spec = c.spec;
+    validateSampled(spec.base, c.sampledParams,
                     /*group_or_fairness=*/false, /*verify_mode=*/false);
 
-    spec.base.core.rat = rat_flags;
-    for (const std::string &name : splitList(policies, ','))
-        spec.techniques.push_back({name, parsePolicy(name), rat_flags});
+    for (const std::string &name : splitList(c.policies, ','))
+        spec.techniques.push_back(
+            {name, parsePolicy(name), spec.base.core.rat});
     if (spec.techniques.empty())
         fatal("--policies needs at least one technique");
 
-    for (const std::string &name : splitList(groups, ',')) {
-        const auto group = sim::parseGroup(name);
-        if (!group)
-            fatal("unknown group '%s'", name.c_str());
-        spec.groups.push_back(*group);
+    if (c.groups) {
+        for (const std::string &name : splitList(*c.groups, ',')) {
+            const auto group = sim::parseGroup(name);
+            if (!group)
+                fatal("unknown group '%s'", name.c_str());
+            spec.groups.push_back(*group);
+        }
+        if (spec.groups.empty())
+            fatal("--groups: expected at least one group name, got '%s'",
+                  c.groups->c_str());
     }
-    if (groups_given && spec.groups.empty())
-        fatal("--groups: expected at least one group name, got '%s'",
-              groups.c_str());
-    if (workloads_given) {
-        spec.workloads = splitWorkloads(workloads);
+    if (c.workloads) {
+        spec.workloads = splitWorkloads(*c.workloads);
         if (spec.workloads.empty())
             fatal("--workloads: expected at least one workload, "
                   "got '%s'",
-                  workloads.c_str());
+                  c.workloads->c_str());
     }
     // No explicit grid: default to the paper's headline pair.
     if (spec.groups.empty() && spec.workloads.empty())
         spec.workloads = splitWorkloads("art,mcf");
 
     sim::CampaignOutcome outcome;
-    if (farm_mode) {
-        const sim::FarmOutcome farm = sim::runFarm(spec, farm_options);
+    if (c.sub->bit == kFarm) {
+        const sim::FarmOutcome farm = sim::runFarm(spec, c.farm);
         outcome = std::move(farm.campaign);
         std::printf("farm: %zu cells (%llu simulated, %llu from cache, "
                     "%llu failed stores)\n",
@@ -924,43 +847,13 @@ sweepCommand(const std::vector<std::string> &args, bool farm_mode)
                     sim::throughput(cell.result));
     }
 
-    if (!json_path.empty())
-        writeOutput(json_path,
+    if (!c.json.empty())
+        writeOutput(c.json,
                     sim::campaignJson(report_outcome, spec).dump(2),
                     "JSON");
-    if (!csv_path.empty())
-        writeOutput(csv_path, sim::campaignCsv(report_outcome).dump(),
-                    "CSV");
+    if (!c.csv.empty())
+        writeOutput(c.csv, sim::campaignCsv(report_outcome).dump(), "CSV");
     return 0;
-}
-
-/**
- * `ratsim --farm-worker [--cache DIR] [--worker-id N]
- * [--test-kill-after N]`: the exec target of the farm coordinator.
- */
-int
-farmWorkerCommand(const std::vector<std::string> &args)
-{
-    std::string cache_dir;
-    std::uint64_t kill_after = 0;
-    unsigned worker_id = 0;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= args.size())
-                fatal("option %s needs a value", arg.c_str());
-            return args[++i].c_str();
-        };
-        if (arg == "--cache")
-            cache_dir = next();
-        else if (arg == "--worker-id")
-            worker_id = parseUnsigned(next(), "--worker-id");
-        else if (arg == "--test-kill-after")
-            kill_after = parseU64(next(), "--test-kill-after");
-        else
-            fatal("farm worker: unknown option '%s'", arg.c_str());
-    }
-    return sim::farmWorkerMain(cache_dir, worker_id, kill_after);
 }
 
 } // namespace
@@ -969,23 +862,30 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-
-    if (!args.empty() && args[0] == "run")
-        return runCommand({args.begin() + 1, args.end()}, false);
-    if (!args.empty() && args[0] == "report")
-        return runCommand({args.begin() + 1, args.end()}, true);
-    if (!args.empty() && args[0] == "sweep")
-        return sweepCommand({args.begin() + 1, args.end()}, false);
-    if (!args.empty() && args[0] == "farm")
-        return sweepCommand({args.begin() + 1, args.end()}, true);
-    if (!args.empty() && args[0] == "verify")
-        return verifyCommand({args.begin() + 1, args.end()});
-    if (!args.empty() && args[0] == "--farm-worker")
-        return farmWorkerCommand({args.begin() + 1, args.end()});
-    if (!args.empty() && !args[0].empty() && args[0][0] != '-') {
-        usage();
+    Cli c;
+    for (const Sub &s : kSubs) {
+        if (!args.empty() && args[0] == s.name) {
+            c.sub = &s;
+            c.bare = false;
+            args.erase(args.begin());
+            break;
+        }
+    }
+    if (c.bare && !args.empty() && !args[0].empty() && args[0][0] != '-') {
+        printHelp(c);
         fatal("unknown subcommand '%s'", args[0].c_str());
     }
-    // Legacy: bare options behave like `ratsim run`.
-    return runCommand(args, false);
+    parseFlags(c, args);
+    switch (c.sub->bit) {
+    case kVerify:
+        return verifyCommand(c);
+    case kSweep:
+    case kFarm:
+        return sweepCommand(c);
+    case kWorker:
+        return sim::farmWorkerMain(c.spec.cacheDir, c.workerId,
+                                   c.killAfter);
+    default: // `ratsim [options]` and `ratsim run` alike
+        return runCommand(c);
+    }
 }

@@ -334,4 +334,84 @@ TEST(CliSmoke, UnknownSubcommandFailsWithDiagnostic)
         << r.output;
 }
 
+TEST(CliSmoke, VerifyRefusesFlagsItIgnores)
+{
+    // Every leg overrides the skip mode and the variant, the verdict
+    // ignores fairness and telemetry, and each leg would rewrite the
+    // trace file: verify takes none of these flags.
+    const std::string trace =
+        testing::TempDir() + "ratsim_verify_trace.json";
+    const struct {
+        std::string args;
+        const char *flag;
+    } cases[] = {
+        {"--fairness", "--fairness"},
+        {"--no-cycle-skip", "--no-cycle-skip"},
+        {"--sample-window 500", "--sample-window"},
+        {"--ra-variant capped", "--ra-variant"},
+        {"--trace-out " + trace, "--trace-out"},
+        {"--trace-categories mem", "--trace-categories"},
+    };
+    for (const auto &c : cases) {
+        const CliResult r = runCli(
+            "verify --workload art,mcf --policy RaT --measure 1000 "
+            "--warmup 200 --prewarm 5000 " + c.args);
+        EXPECT_EQ(r.exitCode, 1) << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find(c.flag), std::string::npos)
+            << c.args << "\n" << r.output;
+    }
+    std::remove(trace.c_str());
+}
+
+TEST(CliSmoke, ZeroSizedStructuresAreRefused)
+{
+    // A zero-entry ROB or register file builds a core that never
+    // dispatches: it would print IPC 0 for every thread and exit 0.
+    const std::string windows = " --measure 200 --warmup 10 --prewarm 100";
+    const struct {
+        const char *args;
+        const char *flag;
+    } cases[] = {
+        {"run --workload art,mcf --rob 0", "--rob: "},
+        {"run --workload art,mcf --regs 0", "--regs: "},
+        {"sweep --workloads art,mcf --rob 256,0", "--rob: "},
+        {"sweep --workloads art,mcf --regs 0,128", "--regs: "},
+    };
+    for (const auto &c : cases) {
+        const CliResult r = runCli(c.args + windows);
+        EXPECT_EQ(r.exitCode, 1) << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find(c.flag), std::string::npos)
+            << c.args << "\n" << r.output;
+    }
+    // One entry is enough to run.
+    const CliResult one =
+        runCli("run --workload art,mcf --rob 1 --regs 1" + windows);
+    EXPECT_EQ(one.exitCode, 0) << one.output;
+}
+
+TEST(CliSmoke, SubcommandHelpListsItsFlags)
+{
+    for (const char *sub : {"run", "report", "verify", "sweep", "farm"}) {
+        const CliResult r = runCli(std::string(sub) + " --help");
+        EXPECT_EQ(r.exitCode, 0) << sub << "\n" << r.output;
+        EXPECT_NE(r.output.find("usage: ratsim"), std::string::npos)
+            << sub << "\n" << r.output;
+    }
+    const auto lists = [](const CliResult &r, const char *flag) {
+        return r.output.find(std::string(flag) + " ") != std::string::npos;
+    };
+    const CliResult sweep = runCli("sweep --help");
+    EXPECT_TRUE(lists(sweep, "--ra-cap")) << sweep.output;
+    EXPECT_TRUE(lists(sweep, "--no-prefetch")) << sweep.output;
+    EXPECT_TRUE(lists(sweep, "--no-ra-fetch")) << sweep.output;
+    const CliResult verify = runCli("verify --help");
+    EXPECT_TRUE(lists(verify, "--mutate-at")) << verify.output;
+    EXPECT_FALSE(lists(verify, "--fairness")) << verify.output;
+    const CliResult farm = runCli("farm --help");
+    EXPECT_TRUE(lists(farm, "--workers")) << farm.output;
+    EXPECT_FALSE(lists(farm, "--no-cycle-skip")) << farm.output;
+    const CliResult run = runCli("run --help");
+    EXPECT_FALSE(lists(run, "--policies")) << run.output;
+}
+
 } // namespace
