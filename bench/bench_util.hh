@@ -12,7 +12,7 @@
  *   RATSIM_WARMUP      warm-up cycles per run         (default 15000)
  *   RATSIM_MEASURE     measured cycles per run        (default 60000)
  *   RATSIM_PREWARM     functional warm-up insts/thread (default 1M)
- *   RATSIM_JOBS        CampaignSpec::parallelism      (default: hw threads)
+ *   RATSIM_JOBS        CampaignSpec::parallelism      (default: usable CPUs)
  *   RATSIM_REPORT_DIR  where BENCH_*.json artifacts go (default ".")
  */
 

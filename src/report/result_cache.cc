@@ -69,6 +69,20 @@ class DirLock
     int fd_;
 };
 
+/**
+ * Whether @p path is a temp file written by process @p pid. Cell and
+ * checkpoint writers alike name their temps `<name>.<pid>.<seq>.tmp`;
+ * the pid field must match exactly, so a seq number that happens to
+ * equal another writer's pid never matches.
+ */
+bool
+isTmpFileOfPid(const std::filesystem::path &path, const std::string &pid)
+{
+    const std::filesystem::path stem = path.stem(); // <name>.<pid>.<seq>
+    return path.extension() == ".tmp" && !stem.extension().empty() &&
+           stem.stem().extension() == "." + pid;
+}
+
 } // namespace
 
 std::uint64_t
@@ -91,8 +105,11 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 void
 ResultCache::gcStaleFiles()
 {
+    // Subdirectories too: sampled checkpoints land in ckpt/.
     std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
+    std::filesystem::recursive_directory_iterator it(
+        dir_, std::filesystem::directory_options::skip_permission_denied,
+        ec);
     if (ec)
         return; // directory does not exist yet — nothing to reap
     const auto now = std::filesystem::file_time_type::clock::now();
@@ -118,21 +135,17 @@ ResultCache::removeTmpFilesOfPid(long pid) const
     if (!enabled())
         return 0;
     std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
+    std::filesystem::recursive_directory_iterator it(
+        dir_, std::filesystem::directory_options::skip_permission_denied,
+        ec);
     if (ec)
         return 0;
-    // Temp names are <hash>.json.<pid>.<seq>.tmp (see store()); match
-    // the pid field exactly so a seq number that happens to equal
-    // another worker's pid cannot cause a cross-worker unlink.
-    const std::string marker = ".json." + std::to_string(pid) + ".";
+    const std::string pidText = std::to_string(pid);
     std::uint64_t removed = 0;
     const DirLock lock(dir_);
     for (const auto &entry : it) {
         if (!entry.is_regular_file(ec) ||
-            entry.path().extension() != ".tmp")
-            continue;
-        if (entry.path().filename().string().find(marker) ==
-            std::string::npos)
+            !isTmpFileOfPid(entry.path(), pidText))
             continue;
         if (std::filesystem::remove(entry.path(), ec) && !ec)
             ++removed;

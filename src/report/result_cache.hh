@@ -62,7 +62,8 @@ class ResultCache
   public:
     /**
      * @param dir Cache directory; an empty string disables caching.
-     * Opening an existing directory garbage-collects stale `*.tmp`
+     * Opening an existing directory garbage-collects, there and in its
+     * subdirectories (the sampled checkpoints' `ckpt/`), stale `*.tmp`
      * files left behind by killed writers and `*.bad` quarantine
      * files whose post-mortem window has passed (both age-gated, so
      * temps of concurrently live writers — and freshly quarantined
@@ -122,11 +123,13 @@ class ResultCache
     }
 
     /**
-     * Unlink every temp file written by process @p pid, regardless of
-     * age. Only safe once @p pid is known dead — the farm coordinator
-     * calls this for workers it just killed and reaped on SIGINT, so
-     * an interrupted campaign leaves no half-written cells behind.
-     * Returns the number of files removed.
+     * Unlink every temp file written by process @p pid, cell or
+     * checkpoint (`<name>.<pid>.<seq>.tmp` in the directory or a
+     * subdirectory), regardless of age. Only safe once @p pid is known
+     * dead — the farm coordinator calls this for workers it just
+     * killed and reaped on SIGINT, so an interrupted campaign leaves
+     * no half-written cells or checkpoints behind. Returns the number
+     * of files removed.
      */
     std::uint64_t removeTmpFilesOfPid(long pid) const;
 

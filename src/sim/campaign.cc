@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -239,11 +238,8 @@ runCampaign(const CampaignSpec &spec)
     CampaignPlan plan = planCampaign(spec, cache);
     CampaignOutcome &outcome = plan.outcome;
 
-    unsigned workers = spec.parallelism;
-    if (!workers) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        workers = hw ? hw : 4;
-    }
+    const unsigned workers =
+        spec.parallelism ? spec.parallelism : usableCpus();
 
     // Simulate the unique misses on the worker pool. Each job owns
     // distinct lead cells, so no locking is needed; the counters are

@@ -55,7 +55,7 @@ struct CampaignSpec {
     std::vector<Cycle> measureAxis;        ///< measured-window cycles
     std::vector<std::uint64_t> seedAxis;   ///< workload seeds
     std::string cacheDir;                  ///< empty = no result cache
-    unsigned parallelism = 0;              ///< 0 = hardware threads
+    unsigned parallelism = 0;              ///< 0 = usableCpus()
 };
 
 /** One grid cell: coordinates, effective config, and (after running)
@@ -122,9 +122,8 @@ struct CampaignPlan {
     /**
      * Lead cell index of every pending key, stably sorted by prewarm
      * identity (sim/checkpoint.hh) from key order: the cells that can
-     * share one prewarm walk are adjacent, so contiguous slices of
-     * this list (runCampaign's jobs, the farm's shards) keep them
-     * together.
+     * share one prewarm walk are adjacent, so campaignJobs cuts this
+     * list into contiguous jobs that keep them together.
      */
     std::vector<std::size_t> leads;
 };
@@ -145,12 +144,13 @@ CampaignPlan planCampaign(const CampaignSpec &spec,
                           const report::ResultCache &cache);
 
 /**
- * Split @p plan's leads into runCampaign's jobs for @p workers threads.
- * Exact-mode leads with one prewarm identity form one job, which walks
- * the prewarm once and restores it for the rest. When there are fewer
- * such runs than workers, each is cut into ceil(workers / runs)
- * contiguous jobs so every worker still has one. Sampled leads are jobs
- * of their own; they share checkpoints through sim/sampled.hh.
+ * Split @p plan's leads into jobs for @p workers workers, the threads of
+ * runCampaign and the processes of runFarm alike. Exact-mode leads with
+ * one prewarm identity form one job, which walks the prewarm once and
+ * restores it for the rest. When there are fewer such runs than
+ * workers, each is cut into ceil(workers / runs) contiguous jobs so
+ * every worker still has one. Sampled leads are jobs of their own; they
+ * share checkpoints through sim/sampled.hh.
  */
 std::vector<std::vector<std::size_t>>
 campaignJobs(const CampaignPlan &plan, unsigned workers);

@@ -158,7 +158,7 @@ struct WorkerProc {
     int resFd = -1; ///< coordinator reads result frames here (nonblock)
     report::FrameBuffer buf;
     std::optional<std::size_t> inflight; ///< lead cell index
-    std::size_t shard = 0;               ///< shard currently drained
+    std::optional<std::size_t> job;      ///< campaign job being drained
     unsigned slot = 0;                   ///< stable slot id
     unsigned respawnCount = 0; ///< processes this slot has consumed - 1
     bool alive = false;
@@ -177,13 +177,16 @@ struct Coordinator {
     CampaignOutcome &outcome;
     const report::ResultCache &cache;
 
-    std::vector<std::deque<std::size_t>> shards = {};
+    /** campaignJobs' lead cells, left to hand out; jobs[0, jobsStarted)
+     * have been started by some worker. */
+    std::vector<std::deque<std::size_t>> jobs = {};
+    std::size_t jobsStarted = 0;
     std::vector<WorkerProc> workers = {};
     FarmOutcome *farm = nullptr;
     std::string binary = {}; ///< worker exec target (for respawns)
 
-    std::uint64_t jobsDone = 0; ///< results + failures + quarantines
-    std::uint64_t jobsTotal = 0;
+    std::uint64_t cellsDone = 0; ///< results + failures + quarantines
+    std::uint64_t cellsTotal = 0;
     std::uint64_t simulated = 0;
     std::uint64_t failedStores = 0;
     std::uint64_t prewarmWalks = 0;
@@ -192,7 +195,7 @@ struct Coordinator {
     /** Worker deaths per lead cell — the retry budget's ledger and
      * the attempt number sent with each job. */
     std::map<std::size_t, unsigned> attempts = {};
-    /** Crash-loop breaker: respawns since the last completed job.
+    /** Crash-loop breaker: respawns since the last retired cell.
      * When every respawned worker dies without landing anything,
      * respawning stops and the farm fails over to the resume path. */
     std::uint64_t respawnsSinceProgress = 0;
@@ -208,7 +211,7 @@ struct Coordinator {
     bool respawnViable() const;
     std::uint64_t respawnBudget() const;
     int pollTimeoutMs() const;
-    void noteJobDone();
+    void noteCellDone();
     void printProgress();
     void run();
 
@@ -285,14 +288,14 @@ Coordinator::spawnWorker(unsigned slot, std::uint64_t kill_after)
     ::fcntl(res_pipe[0], F_SETFD, FD_CLOEXEC);
 
     // Fill the slot in place (the vector is pre-sized to the worker
-    // count): a respawned process inherits the slot's shard and
+    // count): a respawned process inherits the slot's job and
     // respawn counter but starts with a fresh frame buffer and a
     // clean inflight state.
     WorkerProc w;
     w.pid = pid;
     w.jobFd = job_pipe[1];
     w.resFd = res_pipe[0];
-    w.shard = workers[slot].shard;
+    w.job = workers[slot].job;
     w.slot = slot;
     w.respawnCount = workers[slot].respawnCount;
     w.alive = true;
@@ -309,48 +312,35 @@ Coordinator::feedWorker(std::size_t wi)
     if (!w.alive || !w.writable || w.inflight)
         return false;
 
-    // Drain the worker's own shards first (round-robin ownership),
-    // then steal from the largest remaining shard so stragglers drain
-    // onto idle workers.
-    const std::size_t nshards = shards.size();
-    const std::size_t nworkers = workers.size();
-    std::size_t pick = nshards;
-    if (!shards[w.shard].empty()) {
-        pick = w.shard;
-    } else {
-        for (std::size_t s = wi; s < nshards; s += nworkers) {
-            if (!shards[s].empty()) {
-                pick = s;
-                break;
-            }
-        }
-        if (pick == nshards) {
-            std::size_t best_size = 0;
-            for (std::size_t s = 0; s < nshards; ++s) {
-                if (shards[s].size() > best_size) {
-                    best_size = shards[s].size();
-                    pick = s;
-                }
-            }
-            if (pick < nshards)
-                ++farm->jobsStolen;
+    // Drain the worker's job, then start the next job no worker has
+    // started; once every job has started, take over the one with the
+    // most cells left, so stragglers drain onto idle workers.
+    if (!w.job || jobs[*w.job].empty()) {
+        if (jobsStarted < jobs.size()) {
+            w.job = jobsStarted++;
+        } else {
+            const auto most = std::max_element(
+                jobs.begin(), jobs.end(), [](const auto &a, const auto &b) {
+                    return a.size() < b.size();
+                });
+            if (most->empty())
+                return false; // no work left anywhere
+            w.job = static_cast<std::size_t>(most - jobs.begin());
+            ++farm->jobsStolen;
         }
     }
-    if (pick >= nshards)
-        return false; // no work left anywhere
-
-    const std::size_t lead = shards[pick].front();
-    shards[pick].pop_front();
-    w.shard = pick;
+    std::deque<std::size_t> &job = jobs[*w.job];
+    const std::size_t lead = job.front();
+    job.pop_front();
 
     const auto attempt_it = attempts.find(lead);
     const unsigned attempt =
         attempt_it == attempts.end() ? 0 : attempt_it->second;
     if (!report::writeFrame(
             w.jobFd, jobFrame(outcome.cells[lead], lead, attempt))) {
-        // Peer is dead (EPIPE): put the job back; the EOF on the read
+        // Peer is dead (EPIPE): put the cell back; the EOF on the read
         // side will finish the bookkeeping.
-        shards[pick].push_front(lead);
+        job.push_front(lead);
         w.writable = false;
         return false;
     }
@@ -402,7 +392,7 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
         if (farm->error.empty() && err->isString())
             farm->error = "cell '" + outcome.cells[lead].key +
                           "' failed: " + err->asString();
-        noteJobDone();
+        noteCellDone();
         return;
     }
     const report::Json *result_json = doc->find("result");
@@ -410,13 +400,13 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
     if (!result_json || !fromJson(*result_json, result)) {
         warn("farm: unparseable result for cell %zu", lead);
         ++farm->failedCells;
-        noteJobDone();
+        noteCellDone();
         return;
     }
     outcome.cells[lead].result = std::move(result);
     ++simulated;
     // Exact cells report whether they walked their prewarm or restored
-    // it from the worker's blob of the previous job's identity.
+    // it from the worker's blob of the previous cell's identity.
     if (const report::Json *prewarm = doc->find("prewarm");
         prewarm && prewarm->isString())
         ++(prewarm->asString() == "restore" ? prewarmRestores
@@ -425,16 +415,16 @@ Coordinator::handleFrame(std::size_t wi, const std::string &payload)
     if (cache.enabled() && (!stored || !stored->isBool() ||
                             !stored->asBool()))
         ++failedStores;
-    noteJobDone();
+    noteCellDone();
 }
 
-/** One grid job retired (result, failure or quarantine): advance the
+/** One grid cell retired (result, failure or quarantine): advance the
  * campaign and re-arm the crash-loop breaker — the farm made
  * progress, so respawning is paying off again. */
 void
-Coordinator::noteJobDone()
+Coordinator::noteCellDone()
 {
-    ++jobsDone;
+    ++cellsDone;
     respawnsSinceProgress = 0;
     if (options.progress)
         printProgress();
@@ -448,13 +438,13 @@ Coordinator::printProgress()
         duration_cast<duration<double>>(steady_clock::now() - startedAt)
             .count();
     char eta[32];
-    if (jobsDone > 0 && jobsDone < jobsTotal) {
-        // Guarded by jobsDone > 0: before the first cell lands there
+    if (cellsDone > 0 && cellsDone < cellsTotal) {
+        // Guarded by cellsDone > 0: before the first cell lands there
         // is no rate to extrapolate from, and elapsed/0 would print
         // garbage (inf/nan) on the live line.
         const double remaining =
-            elapsed * static_cast<double>(jobsTotal - jobsDone) /
-            static_cast<double>(jobsDone);
+            elapsed * static_cast<double>(cellsTotal - cellsDone) /
+            static_cast<double>(cellsDone);
         const auto whole = static_cast<unsigned long long>(remaining);
         std::snprintf(eta, sizeof(eta), "ETA %llu:%02llu", whole / 60,
                       whole % 60);
@@ -465,8 +455,8 @@ Coordinator::printProgress()
     std::fprintf(stderr,
                  "\rfarm: %llu/%llu cells, %llu stolen, %llu deaths, "
                  "%s   ",
-                 static_cast<unsigned long long>(jobsDone),
-                 static_cast<unsigned long long>(jobsTotal),
+                 static_cast<unsigned long long>(cellsDone),
+                 static_cast<unsigned long long>(cellsTotal),
                  static_cast<unsigned long long>(farm->jobsStolen),
                  static_cast<unsigned long long>(farm->workerDeaths),
                  eta);
@@ -540,9 +530,9 @@ Coordinator::workerGone(std::size_t wi)
             farm->quarantinedCells.push_back(outcome.cells[lead].key);
             warn("farm: quarantining cell '%s' after %u worker deaths",
                  outcome.cells[lead].key.c_str(), attempt);
-            noteJobDone();
+            noteCellDone();
         } else {
-            shards[w.shard].push_front(lead);
+            jobs[*w.job].push_front(lead);
             ++farm->jobsRequeued;
         }
     } else if (abnormal) {
@@ -560,8 +550,8 @@ Coordinator::workerGone(std::size_t wi)
 bool
 Coordinator::workAvailable() const
 {
-    for (const auto &shard : shards)
-        if (!shard.empty())
+    for (const auto &job : jobs)
+        if (!job.empty())
             return true;
     for (const WorkerProc &w : workers)
         if (w.alive && w.inflight)
@@ -575,7 +565,7 @@ Coordinator::respawnBudget() const
     // Crash-loop breaker: allow every slot a couple of fruitless
     // respawns, then conclude the failure is systemic (bad binary,
     // poisoned environment) and stop burning processes. Any completed
-    // job resets the counter via noteJobDone().
+    // cell resets the counter via noteCellDone().
     return 2 * workers.size() + 4;
 }
 
@@ -627,9 +617,9 @@ Coordinator::maybeRespawn()
     }
 }
 
-/** SIGKILL alive workers whose in-flight job has outlived the
+/** SIGKILL alive workers whose in-flight cell has outlived the
  * --job-timeout watchdog; workerGone() then requeues or quarantines
- * the job and schedules the slot for respawn. */
+ * the cell and schedules the slot for respawn. */
 void
 Coordinator::checkLiveness()
 {
@@ -688,7 +678,7 @@ Coordinator::run()
     startedAt = std::chrono::steady_clock::now();
     if (options.progress)
         printProgress();
-    while (jobsDone < jobsTotal) {
+    while (cellsDone < cellsTotal) {
         if (g_interrupted)
             break; // runFarm() kills, reaps and cleans up after us
         maybeRespawn();
@@ -778,9 +768,15 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     FarmOutcome farm;
     const report::ResultCache cache(spec.cacheDir);
     CampaignPlan plan = planCampaign(spec, cache);
+    // campaignJobs reads the plan's cells, so cut the jobs before they
+    // move into the farm's outcome.
+    unsigned nworkers = options.workers ? options.workers : usableCpus();
+    const std::vector<std::vector<std::size_t>> jobs =
+        campaignJobs(plan, nworkers);
+    nworkers = std::min<unsigned>(nworkers,
+                                  static_cast<unsigned>(jobs.size()));
     farm.campaign = std::move(plan.outcome);
 
-    const std::vector<std::size_t> &jobs = plan.leads;
     if (jobs.empty()) {
         // Everything was cached: nothing to spawn.
         fanOutDuplicates(farm.campaign, plan.pending);
@@ -796,19 +792,6 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
         return farm;
     }
 
-    unsigned nworkers = options.workers;
-    if (!nworkers) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        nworkers = hw ? hw : 4;
-    }
-    nworkers = std::min<unsigned>(
-        nworkers, static_cast<unsigned>(jobs.size()));
-
-    unsigned nshards = options.shards ? options.shards : nworkers * 4;
-    nshards = std::min<unsigned>(
-        std::max<unsigned>(nshards, 1),
-        static_cast<unsigned>(jobs.size()));
-
     // Arm the fault injector in the coordinator too: only the spawn
     // path ever sets a context here, so the sole coordinator-side
     // fault is SpawnFail — workers arm independently after exec.
@@ -820,13 +803,9 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     Coordinator coord{spec, options, farm.campaign, cache};
     coord.farm = &farm;
     coord.binary = binary;
-    coord.jobsTotal = jobs.size();
-
-    // Contiguous shards over the deduped job list (grid order).
-    coord.shards.assign(nshards, {});
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        coord.shards[i * nshards / jobs.size()].push_back(jobs[i]);
-    farm.shardCount = nshards;
+    coord.cellsTotal = plan.leads.size();
+    for (const std::vector<std::size_t> &job : jobs)
+        coord.jobs.emplace_back(job.begin(), job.end());
 
     // Test hook: deterministically SIGKILL the first worker after N
     // cells, standing in for an operator's kill -9 mid-campaign.
@@ -838,10 +817,8 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     // even when some initial spawns fail; failed slots become respawn
     // candidates instead of silently shrinking the pool.
     coord.workers.resize(nworkers);
-    for (unsigned w = 0; w < nworkers; ++w) {
+    for (unsigned w = 0; w < nworkers; ++w)
         coord.workers[w].slot = w;
-        coord.workers[w].shard = w % nshards;
-    }
     unsigned spawned = 0;
     for (unsigned w = 0; w < nworkers; ++w) {
         if (coord.spawnWorker(w, w == 0 ? kill_after : 0)) {
@@ -958,7 +935,7 @@ runFarm(const CampaignSpec &spec, const FarmOptions &options)
     farm.campaign.failedStores = coord.failedStores;
     farm.campaign.prewarmWalks = coord.prewarmWalks;
     farm.campaign.prewarmRestores = coord.prewarmRestores;
-    farm.completed = coord.jobsDone >= coord.jobsTotal &&
+    farm.completed = coord.cellsDone >= coord.cellsTotal &&
                      farm.failedCells == 0 &&
                      farm.quarantinedCells.empty();
     if (!farm.completed && farm.error.empty()) {
@@ -1008,8 +985,8 @@ farmWorkerMain(const std::string &cache_dir, unsigned worker_id,
     report::FrameReader job_stream(STDIN_FILENO);
     std::uint64_t completed = 0;
     // Post-prewarm state of the last identity this worker walked. The
-    // coordinator's shards are slices of identity-ordered leads, so
-    // consecutive jobs mostly share it.
+    // coordinator hands out campaignJobs, each of one identity, so the
+    // cells after a walk restore it.
     PrewarmCheckpoint ckpt;
 
     while (auto frame = job_stream.next()) {

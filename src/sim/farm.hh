@@ -1,29 +1,30 @@
 /**
  * @file
- * Multi-process campaign farm: shards a campaign's pending grid cells
- * across worker *processes* (fork/exec of the ratsim binary in
+ * Multi-process campaign farm: runs a campaign's pending grid cells on
+ * worker *processes* (fork/exec of the ratsim binary in
  * `--farm-worker` mode) and streams completed cells back to the
  * coordinator over pipes as length-prefixed JSON (report/wire.hh).
  *
  * Execution model:
  *  - The coordinator expands the grid and probes the shared on-disk
- *    ResultCache; only missing cells become jobs (so a re-run after
+ *    ResultCache; only missing cells are simulated (so a re-run after
  *    any crash — coordinator or worker, kill -9 included — resumes
  *    from whatever earlier runs already landed in the cache).
- *  - Jobs are partitioned into shards; every worker pulls jobs one at
- *    a time from its own shards and, once those drain, steals from the
- *    largest remaining shard, so straggler shards drain onto idle
- *    workers.
+ *  - The missing cells are cut into the jobs runCampaign's threads
+ *    would get (campaignJobs), one prewarm identity each. A worker is
+ *    handed its job one cell at a time; when the job drains it starts
+ *    the next job no worker has started, and once every job has
+ *    started it takes over the job with the most cells left, so
+ *    stragglers drain onto idle workers.
  *  - Each worker simulates a cell, lands it in the shared cache with
  *    a crash-safe atomic store, and streams the result frame back.
- *    Jobs are identity-ordered (CampaignPlan::leads), so a worker
- *    keeps the post-prewarm checkpoint of the last identity it walked
- *    and restores it for the following cells of that identity; the
- *    reply's `prewarm` field says which happened.
- *  - A worker death mid-job is detected as EOF on its pipe: the
- *    in-flight job is requeued onto the surviving workers. Only when
- *    every worker is gone does the farm give up — with all completed
- *    cells already durable in the cache.
+ *    A worker keeps the post-prewarm checkpoint of the last identity
+ *    it walked and restores it for the following cells of that
+ *    identity; the reply's `prewarm` field says which happened.
+ *  - A worker death with a cell in flight is detected as EOF on its
+ *    pipe: the cell goes back to the front of its job for the
+ *    surviving workers. Only when every worker is gone does the farm
+ *    give up — with all completed cells already durable in the cache.
  *
  * The merged report of a completed farm run is byte-identical to a
  * single-process `runCampaign` of the same spec: both produce the
@@ -43,11 +44,9 @@ namespace rat::sim {
 
 /** Farm-specific knobs on top of a CampaignSpec. */
 struct FarmOptions {
-    /** Worker processes; 0 = hardware concurrency. Clamped to the
-     * number of pending jobs. */
+    /** Worker processes; 0 = usableCpus(). Clamped to the number of
+     * jobs campaignJobs cuts for that many workers. */
     unsigned workers = 0;
-    /** Job shards; 0 = auto (4x workers). Clamped to [1, jobs]. */
-    unsigned shards = 0;
     /**
      * Path of the binary to exec with `--farm-worker`. Empty = this
      * process's own executable (/proc/self/exe).
@@ -87,13 +86,13 @@ struct FarmOptions {
 struct FarmOutcome {
     CampaignOutcome campaign;
     unsigned workersSpawned = 0;
-    unsigned shardCount = 0;
-    /** Workers that died before draining their work (EOF mid-shard,
-     * abnormal exit, or exit on a signal). */
+    /** Workers that died before draining their work (EOF with a cell
+     * in flight, abnormal exit, or exit on a signal). */
     std::uint64_t workerDeaths = 0;
-    /** Jobs requeued from dead workers onto survivors. */
+    /** Cells requeued from dead workers onto survivors. */
     std::uint64_t jobsRequeued = 0;
-    /** Jobs a worker pulled from another worker's shard. */
+    /** Jobs a worker took over once every job had started; each may
+     * cost one more prewarm walk. */
     std::uint64_t jobsStolen = 0;
     /** Cells whose simulation failed inside a worker (reported as an
      * error frame; not retried). */
@@ -115,7 +114,7 @@ struct FarmOutcome {
 };
 
 /**
- * Run @p spec as a sharded multi-process farm. Requires fork/exec;
+ * Run @p spec as a multi-process farm. Requires fork/exec;
  * the campaign inside the returned outcome is in grid order, exactly
  * like runCampaign's.
  *

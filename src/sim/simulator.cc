@@ -46,7 +46,7 @@ retainFreedHeap()
 } // namespace
 
 unsigned
-prewarmWalkWorkers()
+usableCpus()
 {
     unsigned cpus = std::thread::hardware_concurrency();
 #ifdef __linux__
@@ -56,7 +56,13 @@ prewarmWalkWorkers()
     if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0)
         cpus = static_cast<unsigned>(CPU_COUNT(&allowed));
 #endif
-    return std::clamp(cpus, 1u, core::SmtCore::kWalkLanes);
+    return std::max(cpus, 1u);
+}
+
+unsigned
+prewarmWalkWorkers()
+{
+    return std::min(usableCpus(), core::SmtCore::kWalkLanes);
 }
 
 double

@@ -223,10 +223,16 @@ std::vector<std::unique_ptr<trace::TraceGenerator>>
 makeStreams(std::uint64_t seed, const std::vector<std::string> &programs);
 
 /**
+ * The CPUs this process may run on: its affinity mask, so a taskset or
+ * cpuset is seen and a CPU quota is not. Never 0. The default worker
+ * count of runCampaign and runFarm.
+ */
+unsigned usableCpus();
+
+/**
  * Workers for a prewarm walk that runs alone, as the walks of
- * Simulator::run() and of the sampled checkpoint walker do: the CPUs
- * this process may run on (its affinity mask), at most
- * core::SmtCore::kWalkLanes. A CPU quota is not seen. Campaign and farm
+ * Simulator::run() and of the sampled checkpoint walker do:
+ * usableCpus(), at most core::SmtCore::kWalkLanes. Campaign and farm
  * jobs walk on one worker (restoreOrWalk), since there the jobs fill
  * the cores. The count never changes a result.
  */

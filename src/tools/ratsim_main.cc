@@ -285,16 +285,12 @@ const Flag kFlags[] = {
      [](Cli &c) { c.spec.measureAxis = parseU64List(c.value, c.flag); }},
     {"--seeds", "N1,N2,...", kGrid, "seed axis",
      [](Cli &c) { c.spec.seedAxis = parseU64List(c.value, c.flag); }},
-    {"--jobs", "N", kGrid, "worker threads (default: hardware)",
+    {"--jobs", "N", kGrid, "worker threads (default: usable CPUs)",
      [](Cli &c) { c.spec.parallelism = c.u32(); }},
     {"--cache", "DIR", kGrid | kWorker, "on-disk result cache directory",
      [](Cli &c) { c.spec.cacheDir = c.value; }},
-    {"--workers", "N", kFarm, "worker processes (default: hardware)",
+    {"--workers", "N", kFarm, "worker processes (default: usable CPUs)",
      [](Cli &c) { c.farm.workers = c.u32(); }},
-    {"--shards", "N", kFarm,
-     "job shards (default: 4x workers); idle workers\n"
-     "steal straggler shards",
-     [](Cli &c) { c.farm.shards = c.u32(); }},
     {"--progress", nullptr, kFarm,
      "live cells/steals/deaths/ETA line on stderr",
      [](Cli &c) { c.farm.progress = true; }},
@@ -738,7 +734,7 @@ printPrewarmLine(const sim::CampaignOutcome &outcome)
 
 /**
  * `ratsim sweep` (in-process worker threads) and `ratsim farm`
- * (sharded worker processes): the same declarative campaign grid; a
+ * (worker processes): the same declarative campaign grid; a
  * completed farm produces byte-identical JSON/CSV to the sweep.
  */
 int
@@ -787,9 +783,8 @@ sweepCommand(Cli &c)
                     static_cast<unsigned long long>(outcome.cacheHits),
                     static_cast<unsigned long long>(
                         outcome.failedStores));
-        std::printf("farm: %u workers, %u shards, %llu worker deaths, "
-                    "%llu requeued, %llu stolen\n",
-                    farm.workersSpawned, farm.shardCount,
+        std::printf("farm: %u workers, %llu worker deaths, %llu requeued, "
+                    "%llu stolen\n", farm.workersSpawned,
                     static_cast<unsigned long long>(farm.workerDeaths),
                     static_cast<unsigned long long>(farm.jobsRequeued),
                     static_cast<unsigned long long>(farm.jobsStolen));

@@ -271,6 +271,45 @@ TEST(ResultCacheFailure, TmpFilesOfADeadPidAreRemovedRegardlessOfAge)
     EXPECT_TRUE(fs::exists(decoy));
 }
 
+TEST(ResultCache, StaleCheckpointTempsAreReapedOnOpen)
+{
+    // Sampled checkpoints land in <cache>/ckpt/ through temps of the
+    // same <name>.<pid>.<seq>.tmp shape as the cells'.
+    TempDir dir("rc_gc_ckpt");
+    const fs::path ckpt = dir.path / "ckpt";
+    fs::create_directories(ckpt);
+    const fs::path stale = ckpt / "0123456789abcdef.ratck3.777.1.tmp";
+    std::ofstream(stale) << "torn blob";
+    fs::last_write_time(stale, fs::file_time_type::clock::now() -
+                                   std::chrono::minutes(11));
+    const fs::path fresh = ckpt / "fedcba9876543210.ratck3.778.0.tmp";
+    std::ofstream(fresh) << "in-flight blob";
+
+    const ResultCache cache(dir.path.string());
+    EXPECT_EQ(cache.reapedTmpFiles(), 1u);
+    EXPECT_FALSE(fs::exists(stale));
+    EXPECT_TRUE(fs::exists(fresh));
+}
+
+TEST(ResultCache, TmpFilesOfADeadPidAreRemovedFromTheCheckpointDir)
+{
+    TempDir dir("rc_pid_ckpt");
+    const fs::path ckpt = dir.path / "ckpt";
+    fs::create_directories(ckpt);
+    const fs::path cell = dir.path / "deadbeef.json.777.0.tmp";
+    const fs::path blob = ckpt / "0123456789abcdef.ratck3.777.1.tmp";
+    // Another writer's temp whose seq field equals the dead pid.
+    const fs::path decoy = ckpt / "0123456789abcdef.ratck3.778.777.tmp";
+    for (const fs::path &p : {cell, blob, decoy})
+        std::ofstream(p) << "in-flight";
+
+    const ResultCache cache(dir.path.string());
+    EXPECT_EQ(cache.removeTmpFilesOfPid(777), 2u);
+    EXPECT_FALSE(fs::exists(cell));
+    EXPECT_FALSE(fs::exists(blob));
+    EXPECT_TRUE(fs::exists(decoy));
+}
+
 TEST(ResultCacheChecksum, BitRotInsideTheResultIsCaughtAndQuarantined)
 {
     // Flip one digit of a numeric field inside the stored result:

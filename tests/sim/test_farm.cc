@@ -1,10 +1,11 @@
 /**
  * @file
- * Farm coordinator tests: sharded multi-process execution must be
- * byte-identical to the in-process campaign runner, resume from the
- * shared cache after a worker is killed, requeue a dead worker's
- * in-flight work onto survivors, and skip process spawning entirely
- * on a fully warm cache.
+ * Farm coordinator tests: multi-process execution must be
+ * byte-identical to the in-process campaign runner and walk the
+ * prewarm once per campaign job like it, resume from the shared cache
+ * after a worker is killed, requeue a dead worker's in-flight work
+ * onto survivors, and skip process spawning entirely on a fully warm
+ * cache.
  *
  * Workers are real fork/execs of the built ratsim binary
  * (RATSIM_CLI_PATH), so these tests cover the wire protocol and the
@@ -63,11 +64,10 @@ smallSpec(const std::string &cache_dir)
 }
 
 FarmOptions
-farmOptions(unsigned workers, unsigned shards = 0)
+farmOptions(unsigned workers)
 {
     FarmOptions opt;
     opt.workers = workers;
-    opt.shards = shards;
     opt.workerBinary = RATSIM_CLI_PATH;
     return opt;
 }
@@ -157,13 +157,13 @@ TEST(Farm, SurvivorsDrainAKilledWorkersShards)
 {
     TempCacheDir cache("farm_requeue");
     // A wider grid than the other tests: worker 0 dies on receipt of
-    // its second job, and enough work must remain that it is always
+    // its second cell, and enough work must remain that it is always
     // fed one (12 cells across 2 workers).
     CampaignSpec spec = smallSpec(cache.path.string());
     spec.seedAxis = {1, 2, 3, 4, 5, 6};
 
-    // Worker 0 dies holding an in-flight cell; worker 1 must pick up
-    // the requeued cell plus the orphaned shards, and the campaign
+    // Worker 0 dies holding an in-flight cell; the requeued cell and
+    // the rest of its job must still be simulated, and the campaign
     // still completes in one run.
     KillAfter kill("1");
     const FarmOutcome farm = runFarm(spec, farmOptions(2));
@@ -208,9 +208,8 @@ TEST(Farm, WorksWithoutACacheDirectory)
 {
     // No cache: results only travel the wire. Still byte-identical.
     const CampaignSpec spec = smallSpec("");
-    const FarmOutcome farm = runFarm(spec, farmOptions(2, 3));
+    const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
-    EXPECT_EQ(farm.shardCount, 3u);
     EXPECT_EQ(farm.campaign.simulated, 6u);
     EXPECT_EQ(farm.campaign.failedStores, 0u);
 
@@ -228,20 +227,20 @@ TEST(Farm, DuplicateCellsSimulateOnceAcrossProcesses)
     const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
     ASSERT_EQ(farm.campaign.cells.size(), 2u);
-    EXPECT_EQ(farm.campaign.simulated, 1u); // deduped before sharding
+    EXPECT_EQ(farm.campaign.simulated, 1u); // deduped before the jobs
     EXPECT_EQ(report::toJson(farm.campaign.cells[0].result).dump(),
               report::toJson(farm.campaign.cells[1].result).dump());
 }
 
 TEST(Farm, WorkersReuseOnePrewarmWalkPerIdentity)
 {
-    // Three policies per prewarm identity, two shards of
-    // identity-ordered leads: a worker walks the first cell of an
-    // identity and restores the next ones it is handed.
+    // Three policies per prewarm identity, one job per identity: a
+    // worker walks the first cell of an identity and restores the
+    // next ones it is handed.
     TempCacheDir cache("farm_prewarm");
     CampaignSpec spec = smallSpec(cache.path.string());
     spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
-    const FarmOutcome farm = runFarm(spec, farmOptions(2, 2));
+    const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
     EXPECT_EQ(farm.campaign.simulated, 9u);
     EXPECT_EQ(farm.campaign.prewarmWalks + farm.campaign.prewarmRestores,
@@ -255,6 +254,28 @@ TEST(Farm, WorkersReuseOnePrewarmWalkPerIdentity)
               reportJson(sweep, uncached));
     EXPECT_EQ(campaignCsv(farm.campaign).dump(),
               campaignCsv(sweep).dump());
+}
+
+TEST(Farm, WalksOncePerCampaignJobLikeTheSweep)
+{
+    // 3 policies x 2 workloads x 2 seeds: 12 cells of 4 prewarm
+    // identities. The farm's 2 workers get the sweep's jobs, so it
+    // walks once per job, plus once per job a worker took over.
+    CampaignSpec spec = smallSpec("");
+    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
+                      Workload::fromPrograms({"swim", "twolf"})};
+    spec.seedAxis = {1, 2};
+    spec.parallelism = 2;
+
+    const CampaignOutcome sweep = runCampaign(spec);
+    EXPECT_EQ(sweep.prewarmWalks, 4u);
+
+    const FarmOutcome farm = runFarm(spec, farmOptions(2));
+    ASSERT_TRUE(farm.completed) << farm.error;
+    EXPECT_EQ(farm.campaign.simulated, 12u);
+    EXPECT_LE(farm.campaign.prewarmWalks, 4u + farm.jobsStolen);
+    EXPECT_EQ(reportJson(farm.campaign, spec), reportJson(sweep, spec));
 }
 
 TEST(Farm, FailedStoresAreCountedNotHidden)

@@ -4,7 +4,8 @@
  * leaves must not depend on how many workers shared it, down to the
  * last byte of the checkpoint blob, and a failing stream must reach the
  * caller as an exception. A lone walk takes a worker per CPU it may
- * run on, up to the lane count.
+ * run on, up to the lane count; campaigns and farms default to one
+ * worker per such CPU.
  */
 
 #include <memory>
@@ -126,6 +127,28 @@ TEST(Prewarm, WalkWorkersCountTheAllowedCpus)
     CPU_SET(cpu, &one);
     ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
     const unsigned confined = prewarmWalkWorkers();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(confined, 1u);
+#endif
+}
+
+TEST(Prewarm, UsableCpusCountTheAllowedCpus)
+{
+    // The default worker count of runCampaign and runFarm: the walk's
+    // count without the lane cap.
+    EXPECT_GE(usableCpus(), prewarmWalkWorkers());
+#ifdef __linux__
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(usableCpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned confined = usableCpus();
     ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
     EXPECT_EQ(confined, 1u);
 #endif
