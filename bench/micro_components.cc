@@ -2,9 +2,11 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot components
  * (engineering health, not a paper figure): cache access, perceptron
- * prediction, trace synthesis, the functional prewarm walk, and
- * whole-core cycle throughput.
+ * prediction, trace synthesis and its sequential scans, the functional
+ * prewarm walk, and whole-core cycle throughput.
  */
+
+#include <array>
 
 #include <benchmark/benchmark.h>
 
@@ -88,6 +90,36 @@ BM_TraceGenerate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGenerate);
+
+void
+BM_TraceScan(benchmark::State &state)
+{
+    // The same four streams through the sequential scans: the PC scan
+    // (argument 0, what the phase profiler reads) or the walk scan
+    // (argument 1, what the prewarm walk reads), a 64-instruction
+    // chunk of every stream per iteration. Items are instructions.
+    constexpr std::size_t kChunk = 64;
+    const bool walk = state.range(0) != 0;
+    const auto gens = sim::makeStreams(sim::SimConfig{}.seed, kMix4);
+    std::array<Addr, kChunk> pcs;
+    std::array<trace::WalkOp, kChunk> ops;
+    InstSeq i = 0;
+    for (auto _ : state) {
+        for (const auto &g : gens) {
+            if (walk)
+                g->scanWalk(i, kChunk, ops.data());
+            else
+                g->scanPcs(i, kChunk, pcs.data());
+        }
+        benchmark::DoNotOptimize(pcs);
+        benchmark::DoNotOptimize(ops);
+        i += kChunk;
+    }
+    state.SetLabel(walk ? "walk" : "pcs");
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kChunk * gens.size()));
+}
+BENCHMARK(BM_TraceScan)->Arg(0)->Arg(1);
 
 void
 BM_PrewarmWalk(benchmark::State &state)

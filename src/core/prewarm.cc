@@ -7,15 +7,17 @@
  * one of them reads another, so each one's final state depends only on
  * its own ordered sequence of installs and updates, with their pseudo
  * time stamps. The walk is therefore split in two: a record maker turns
- * each thread-instruction's TraceSource::at() into a WalkRecord, and
- * four lanes (L1I; L1D; L2; perceptron + BTB) each replay one
- * structure's updates in the serial (instruction, thread) order. Which
- * thread makes a record, or runs a lane, cannot change a byte.
+ * each thread-instruction's walk fields (TraceSource::scanWalk, 64
+ * instructions of a thread at a time) into a WalkRecord, and four lanes
+ * (L1I; L1D; L2; perceptron + BTB) each replay one structure's updates
+ * in the serial (instruction, thread) order. Which thread makes a
+ * record, or runs a lane, cannot change a byte.
  *
- * With one worker the maker and the four lanes run fused, one record at
- * a time. With more, the walk goes in double-buffered blocks: every
- * worker replays its lanes over block n, then helps generate block n+1
- * from a shared chunk cursor, and all meet at one barrier per block.
+ * With one worker the maker and the four lanes run fused, one 64-
+ * instruction chunk at a time. With more, the walk goes in
+ * double-buffered blocks: every worker replays its lanes over block n,
+ * then helps generate block n+1 from a shared chunk cursor, and all
+ * meet at one barrier per block.
  */
 
 #include "core/smt_core.hh"
@@ -50,7 +52,7 @@ enum WalkFlag : std::uint8_t {
 };
 
 WalkRecord
-makeRecord(const trace::MicroOp &op)
+makeRecord(const trace::WalkOp &op)
 {
     WalkRecord r;
     r.pc = op.pc;
@@ -233,7 +235,10 @@ class WalkBarrier
 
 /** Instructions per block of the parallel walk (per thread). */
 constexpr InstSeq kBlockInsts = 4096;
-/** Instructions per generation chunk a worker claims. */
+/**
+ * Instructions per generation chunk (per thread): what the record
+ * maker scans at a time, and a parallel walker claims at a time.
+ */
 constexpr InstSeq kChunkInsts = 64;
 constexpr InstSeq kChunksPerBlock = kBlockInsts / kChunkInsts;
 
@@ -243,6 +248,22 @@ struct WalkStreams {
     std::array<InstSeq, kMaxThreads> base{};
     unsigned threads = 0;
 };
+
+/**
+ * The record maker: the records of walk instructions [i, i + n)
+ * (n <= kChunkInsts) of every thread, instruction-major, into @p out.
+ */
+void
+makeRecords(const WalkStreams &in, InstSeq i, InstSeq n, WalkRecord *out)
+{
+    std::array<trace::WalkOp, kChunkInsts> ops;
+    for (unsigned t = 0; t < in.threads; ++t) {
+        in.gen[t]->scanWalk(in.base[t] + i, static_cast<std::size_t>(n),
+                            ops.data());
+        for (InstSeq k = 0; k < n; ++k)
+            out[k * in.threads + t] = makeRecord(ops[k]);
+    }
+}
 
 /**
  * The walk on @p workers > 1 threads (the caller is worker 0). Worker w
@@ -274,12 +295,10 @@ parallelWalk(WalkLanes &lanes, const WalkStreams &in, InstSeq insts,
             }
             if (c >= end)
                 return;
-            WalkRecord *out = blockRecords(block) +
-                              (c % kChunksPerBlock) * kChunkInsts * threads;
-            const InstSeq stop = std::min(insts, (c + 1) * kChunkInsts);
-            for (InstSeq i = c * kChunkInsts; i < stop; ++i)
-                for (unsigned t = 0; t < threads; ++t)
-                    *out++ = makeRecord(in.gen[t]->at(in.base[t] + i));
+            const InstSeq i = c * kChunkInsts;
+            makeRecords(in, i, std::min(kChunkInsts, insts - i),
+                        blockRecords(block) +
+                            (c % kChunksPerBlock) * kChunkInsts * threads);
         }
     };
 
@@ -353,10 +372,15 @@ SmtCore::prewarm(InstSeq insts, unsigned workers)
     if (workers > 1 && insts > 0) {
         parallelWalk(lanes, in, insts, first, workers);
     } else {
-        for (InstSeq i = 0; i < insts; ++i)
-            for (unsigned t = 0; t < in.threads; ++t)
-                lanes.all(makeRecord(in.gen[t]->at(in.base[t] + i)), t,
-                          first + i);
+        std::array<WalkRecord, kChunkInsts * kMaxThreads> recs;
+        for (InstSeq i = 0; i < insts; i += kChunkInsts) {
+            const InstSeq n = std::min(kChunkInsts, insts - i);
+            makeRecords(in, i, n, recs.data());
+            const WalkRecord *r = recs.data();
+            for (InstSeq k = 0; k < n; ++k)
+                for (unsigned t = 0; t < in.threads; ++t)
+                    lanes.all(*r++, t, first + i + k);
+        }
     }
 
     for (unsigned t = 0; t < config_.numThreads; ++t)

@@ -35,6 +35,7 @@
 #include "sim/sampled.hh"
 #include "sim/simulator.hh"
 #include "sim/workloads.hh"
+#include "trace/phase.hh"
 #include "trace/profile.hh"
 
 namespace {
@@ -535,6 +536,11 @@ validateSampled(const sim::SimConfig &cfg, bool sampled_params_given,
         fatal("--phase-window needs a non-zero instruction window");
     if (!cfg.phaseSpanWindows)
         fatal("--phase-span needs at least one profiled window");
+    if (cfg.phaseSpanWindows > trace::kMaxSpanWindows)
+        fatal("--phase-span %u exceeds the limit of %u windows (the "
+              "phase profiler's memory and k-means time grow linearly "
+              "with the span)",
+              cfg.phaseSpanWindows, trace::kMaxSpanWindows);
     if (!cfg.sampleMeasureCycles)
         fatal("--sample-measure needs a non-zero measured window");
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -256,111 +257,135 @@ TraceGenerator::dataAddress(InstSeq idx) const
     return addr & ~Addr{7}; // 8-byte aligned accesses
 }
 
-MicroOp
-TraceGenerator::at(InstSeq idx) const
+std::uint64_t
+TraceGenerator::phaseWord(std::uint64_t phase) const
 {
-    const std::uint32_t *slots = slotTable();
-    const auto &p = *profile_;
-    MicroOp op;
-    op.seq = idx;
     // Phase-based PC stream: iterate a hot inner loop for phaseInsts
     // instructions, then jump to a different region of the footprint.
-    const std::uint64_t phase = phaseDiv_.div(idx);
-    const std::uint64_t phase_word =
-        bounded(draw(seed_, phase, kSaltPhase), codeWords_) &
-        ~std::uint64_t{15}; // line-aligned phase entry point
-    const std::uint64_t word = codeDiv_.mod(phase_word + loopDiv_.mod(idx));
-    op.pc = codeBase_ + 4 * word;
-    op.memSize = 8;
+    return bounded(draw(seed_, phase, kSaltPhase), codeWords_) &
+           ~std::uint64_t{15}; // line-aligned phase entry point
+}
 
+std::uint64_t
+TraceGenerator::codeWord(std::uint64_t phase_word, InstSeq idx) const
+{
+    return codeDiv_.mod(phase_word + loopDiv_.mod(idx));
+}
+
+std::uint64_t
+TraceGenerator::chaseOf(InstSeq idx) const
+{
     // Pointer-chase loads occur on a fixed period so that the previous
     // chase load's index (and thus its destination register) is computable
     // without generator state.
-    const std::uint64_t chase = p.chasePeriod != 0 ? chaseDiv_.div(idx) : 0;
-    const bool is_chase = chase != 0 && idx == chase * p.chasePeriod;
-    if (is_chase) {
+    const std::uint32_t period = profile_->chasePeriod;
+    const std::uint64_t chase = period != 0 ? chaseDiv_.div(idx) : 0;
+    return chase != 0 && idx == chase * period ? chase : 0;
+}
+
+template <class Op>
+void
+TraceGenerator::fill(const std::uint32_t *slots, InstSeq idx,
+                     std::uint64_t word, std::uint64_t chase, Op &op) const
+{
+    // Only a full micro-op gets registers: a scan skips the dependence
+    // draws and the register rotation.
+    constexpr bool kRegs = std::is_same_v<Op, MicroOp>;
+    const auto &p = *profile_;
+    op.pc = pcOf(word);
+    if (chase != 0) {
         op.op = OpClass::Load;
-        op.hasDst = true;
-        op.dstIsFp = false;
-        op.dst = rotReg(idx);
-        op.srcInt[0] = rotReg(idx - p.chasePeriod);
-        op.numSrcInt = 1;
         const std::uint64_t chain = draw(seed_, chase, kSaltChase);
         op.effAddr = (chaseBase_ + bounded(chain, p.chaseBytes)) & ~Addr{7};
-        return op;
+        if constexpr (kRegs) {
+            // The address register is the previous chase load's
+            // destination.
+            op.hasDst = true;
+            op.dstIsFp = false;
+            op.dst = rotReg(idx);
+            op.srcInt[0] = rotReg(idx - p.chasePeriod);
+            op.numSrcInt = 1;
+        }
+        return;
     }
 
     const std::uint32_t entry = slots[word];
     const auto cls = static_cast<OpClass>(entry & kClassMask);
     op.op = cls;
 
-    const std::uint64_t h1 = draw(seed_, idx, kSaltDep1);
-    const std::uint64_t h2 = draw(seed_, idx, kSaltDep2);
-    const unsigned d1 = depDistance(h1);
-    const unsigned d2 = depDistance(h2);
-    const auto int_src = [&](unsigned d) {
-        return idx >= d ? rotReg(idx - d) : ArchReg{1};
-    };
+    [[maybe_unused]] ArchReg r1 = 0, r2 = 0, dst = 0;
+    if constexpr (kRegs) {
+        const auto int_src = [&](unsigned d) {
+            return idx >= d ? rotReg(idx - d) : ArchReg{1};
+        };
+        r1 = int_src(depDistance(draw(seed_, idx, kSaltDep1)));
+        r2 = int_src(depDistance(draw(seed_, idx, kSaltDep2)));
+        dst = rotReg(idx);
+    }
 
     switch (cls) {
       case OpClass::IntAlu:
       case OpClass::IntMul:
       case OpClass::IntDiv:
-        op.srcInt[0] = int_src(d1);
-        op.srcInt[1] = int_src(d2);
-        op.numSrcInt = 2;
-        op.hasDst = true;
-        op.dstIsFp = false;
-        op.dst = rotReg(idx);
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1;
+            op.srcInt[1] = r2;
+            op.numSrcInt = 2;
+            op.hasDst = true;
+            op.dstIsFp = false;
+            op.dst = dst;
+        }
         break;
 
       case OpClass::FpAdd:
       case OpClass::FpMul:
       case OpClass::FpDiv:
-        op.srcFp[0] = int_src(d1); // same rotation in the FP space
-        op.srcFp[1] = int_src(d2);
-        op.numSrcFp = 2;
-        op.hasDst = true;
-        op.dstIsFp = true;
-        op.dst = rotReg(idx);
+        if constexpr (kRegs) {
+            op.srcFp[0] = r1; // same rotation in the FP space
+            op.srcFp[1] = r2;
+            op.numSrcFp = 2;
+            op.hasDst = true;
+            op.dstIsFp = true;
+            op.dst = dst;
+        }
         break;
 
       case OpClass::Load:
-        op.srcInt[0] = int_src(d1); // address base register
-        op.numSrcInt = 1;
-        op.hasDst = true;
-        op.dstIsFp = false;
-        op.dst = rotReg(idx);
-        op.effAddr = dataAddress(idx);
-        break;
-
       case OpClass::FpLoad:
-        op.srcInt[0] = int_src(d1);
-        op.numSrcInt = 1;
-        op.hasDst = true;
-        op.dstIsFp = true;
-        op.dst = rotReg(idx);
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1; // address base register
+            op.numSrcInt = 1;
+            op.hasDst = true;
+            op.dstIsFp = cls == OpClass::FpLoad;
+            op.dst = dst;
+        }
         op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::Store:
-        op.srcInt[0] = int_src(d1); // address base
-        op.srcInt[1] = int_src(d2); // data
-        op.numSrcInt = 2;
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1; // address base
+            op.srcInt[1] = r2; // data
+            op.numSrcInt = 2;
+        }
         op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::FpStore:
-        op.srcInt[0] = int_src(d1); // address base
-        op.numSrcInt = 1;
-        op.srcFp[0] = int_src(d2); // data
-        op.numSrcFp = 1;
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1; // address base
+            op.numSrcInt = 1;
+            op.srcFp[0] = r2; // data
+            op.numSrcFp = 1;
+        }
         op.effAddr = dataAddress(idx);
         break;
 
       case OpClass::Branch:
-        op.srcInt[0] = int_src(d1); // condition register
-        op.numSrcInt = 1;
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1; // condition register
+            op.numSrcInt = 1;
+        }
         switch ((entry >> kKindShift) & 3) {
           case kEasy: {
             const double bias = (entry >> kBiasShift) & 1
@@ -382,18 +407,22 @@ TraceGenerator::at(InstSeq idx) const
         break;
 
       case OpClass::Call:
-        op.srcInt[0] = int_src(d1);
-        op.numSrcInt = 1;
-        op.hasDst = true; // link register write
-        op.dstIsFp = false;
-        op.dst = rotReg(idx);
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1;
+            op.numSrcInt = 1;
+            op.hasDst = true; // link register write
+            op.dstIsFp = false;
+            op.dst = dst;
+        }
         op.taken = true;
         op.target = codeBase_ + 4 * Addr{entry >> kTargetShift};
         break;
 
       case OpClass::Return:
-        op.srcInt[0] = int_src(d1);
-        op.numSrcInt = 1;
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1;
+            op.numSrcInt = 1;
+        }
         op.taken = true;
         // Model: return to the point after some earlier call site; the
         // RAS supplies this in hardware, so the trace target matches the
@@ -403,14 +432,64 @@ TraceGenerator::at(InstSeq idx) const
 
       case OpClass::Lock:
       case OpClass::Unlock:
-        op.srcInt[0] = int_src(d1);
-        op.numSrcInt = 1;
+        if constexpr (kRegs) {
+            op.srcInt[0] = r1;
+            op.numSrcInt = 1;
+        }
         break;
 
       case OpClass::NumClasses:
         panic("sampled invalid op class");
     }
+}
+
+MicroOp
+TraceGenerator::at(InstSeq idx) const
+{
+    const std::uint32_t *slots = slotTable();
+    MicroOp op;
+    op.seq = idx;
+    op.memSize = 8;
+    fill(slots, idx, codeWord(phaseWord(phaseDiv_.div(idx)), idx),
+         chaseOf(idx), op);
     return op;
+}
+
+template <class F>
+void
+TraceGenerator::scan(InstSeq first, std::size_t n, F &&f) const
+{
+    const std::uint64_t phase_len = profile_->phaseInsts;
+    InstSeq idx = first;
+    while (n > 0) {
+        const std::uint64_t phase = phaseDiv_.div(idx);
+        const std::uint64_t phase_word = phaseWord(phase);
+        const std::uint64_t left = phase_len - (idx - phase * phase_len);
+        const std::size_t take =
+            static_cast<std::size_t>(std::min<std::uint64_t>(n, left));
+        for (std::size_t i = 0; i < take; ++i, ++idx)
+            f(idx, codeWord(phase_word, idx));
+        n -= take;
+    }
+}
+
+void
+TraceGenerator::scanPcs(InstSeq first, std::size_t n, Addr *out) const
+{
+    scan(first, n, [&](InstSeq, std::uint64_t word) {
+        *out++ = pcOf(word);
+    });
+}
+
+void
+TraceGenerator::scanWalk(InstSeq first, std::size_t n, WalkOp *out) const
+{
+    const std::uint32_t *slots = slotTable();
+    scan(first, n, [&](InstSeq idx, std::uint64_t word) {
+        WalkOp &w = *out++;
+        w = WalkOp{};
+        fill(slots, idx, word, chaseOf(idx), w);
+    });
 }
 
 } // namespace rat::trace

@@ -37,12 +37,13 @@ namespace rat::trace {
 /**
  * Synthesizes the dynamic micro-op stream of one program instance.
  *
- * Thread-safe for concurrent `at()` calls. The only mutable state is
- * the static code-slot table, which the first `at()` builds for the
- * whole code footprint under `std::call_once`; later calls see it
- * through an acquire load of the ready flag. The table is a pure
- * function of (profile, seed), so who builds it cannot change a result.
- * Not copyable or movable (hold it by pointer, as the core does).
+ * Thread-safe for concurrent `at()` and scan calls. The only mutable
+ * state is the static code-slot table, which the first `at()` or
+ * `scanWalk()` builds for the whole code footprint under
+ * `std::call_once`; later calls see it through an acquire load of the
+ * ready flag. The table is a pure function of (profile, seed), so who
+ * builds it cannot change a result. Not copyable or movable (hold it
+ * by pointer, as the core does).
  */
 class TraceGenerator : public TraceSource
 {
@@ -61,6 +62,19 @@ class TraceGenerator : public TraceSource
     /** Generate the micro-op at dynamic index @p idx. Pure. */
     MicroOp at(InstSeq idx) const override;
 
+    /**
+     * The PCs alone: one phase-entry draw per phase covered, no slot
+     * table, no per-index draws.
+     */
+    void scanPcs(InstSeq first, std::size_t n, Addr *out) const override;
+
+    /**
+     * The walk fields: at() without the dependence draws and the
+     * register rotation, one phase-entry draw per phase covered.
+     */
+    void scanWalk(InstSeq first, std::size_t n,
+                  WalkOp *out) const override;
+
     /** The profile this stream was built from. */
     const BenchmarkProfile &profile() const { return *profile_; }
 
@@ -71,6 +85,40 @@ class TraceGenerator : public TraceSource
     std::uint64_t seed() const { return seed_; }
 
   private:
+    // Per-field derivations, shared by at() and the scans.
+
+    /** Line-aligned code word where phase @p phase's inner loop starts. */
+    std::uint64_t phaseWord(std::uint64_t phase) const;
+
+    /**
+     * Code word of instruction @p idx of the phase whose entry word is
+     * @p phase_word.
+     */
+    std::uint64_t codeWord(std::uint64_t phase_word, InstSeq idx) const;
+
+    /** PC of code word @p word. */
+    Addr pcOf(std::uint64_t word) const { return codeBase_ + 4 * word; }
+
+    /** Chase number of @p idx if it is a pointer-chase load, else 0. */
+    std::uint64_t chaseOf(InstSeq idx) const;
+
+    /**
+     * Fill @p op with instruction @p idx at code word @p word, whose
+     * chase number is @p chase (chaseOf(idx)): the walk fields, and
+     * the registers too when Op is a MicroOp. The one derivation of
+     * every field, for at() (Op = MicroOp) and scanWalk() (WalkOp).
+     */
+    template <class Op>
+    void fill(const std::uint32_t *slots, InstSeq idx, std::uint64_t word,
+              std::uint64_t chase, Op &op) const;
+
+    /**
+     * Call f(idx, word) for each index of [first, first + n) in order,
+     * drawing each phase's entry word once.
+     */
+    template <class F>
+    void scan(InstSeq first, std::size_t n, F &&f) const;
+
     /** Map a uniform draw to an op class via the precomputed CDF. */
     OpClass sampleOpClass(double u) const;
 

@@ -7,14 +7,23 @@
 #include "trace/phase.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+
+#include "common/logging.hh"
 
 namespace rat::trace {
 namespace {
 
 /** Histogram buckets per thread in a window signature. */
 constexpr unsigned kBucketsPerThread = 32;
+
+/**
+ * PCs scanned at a time: a window's histogram is built in chunks of
+ * this many, so memory does not grow with the window.
+ */
+constexpr std::size_t kScanChunk = 1024;
 
 /** Fibonacci-hash a PC line into a signature bucket. */
 unsigned
@@ -56,6 +65,9 @@ profilePhases(const std::vector<const TraceSource *> &streams, InstSeq start,
     out.spanWindows = cfg.spanWindows;
     if (streams.empty() || cfg.window == 0 || cfg.spanWindows == 0)
         return out;
+    if (cfg.spanWindows > kMaxSpanWindows)
+        fatal("phase span of %u windows exceeds the limit of %u",
+              cfg.spanWindows, kMaxSpanWindows);
 
     // --- build one L1-normalized signature per window --------------------
     // Concatenated per-thread histograms, normalized per thread block so a
@@ -63,14 +75,22 @@ profilePhases(const std::vector<const TraceSource *> &streams, InstSeq start,
     const std::size_t dims = streams.size() * kBucketsPerThread;
     std::vector<std::vector<double>> sig(cfg.spanWindows,
                                          std::vector<double>(dims, 0.0));
+    std::array<Addr, kScanChunk> pcs;
     for (unsigned w = 0; w < cfg.spanWindows; ++w) {
         const InstSeq lo = start + InstSeq{w} * cfg.window;
         for (std::size_t t = 0; t < streams.size(); ++t) {
+            std::array<std::uint64_t, kBucketsPerThread> count{};
+            for (InstSeq done = 0; done < cfg.window; done += kScanChunk) {
+                const std::size_t n = static_cast<std::size_t>(
+                    std::min<InstSeq>(kScanChunk, cfg.window - done));
+                streams[t]->scanPcs(lo + done, n, pcs.data());
+                for (std::size_t i = 0; i < n; ++i)
+                    ++count[bucketOf(pcs[i])];
+            }
             double *block = sig[w].data() + t * kBucketsPerThread;
-            for (InstSeq i = 0; i < cfg.window; ++i)
-                block[bucketOf(streams[t]->at(lo + i).pc)] += 1.0;
             for (unsigned b = 0; b < kBucketsPerThread; ++b)
-                block[b] /= static_cast<double>(cfg.window);
+                block[b] = static_cast<double>(count[b]) /
+                           static_cast<double>(cfg.window);
         }
     }
 

@@ -12,11 +12,12 @@
  * the whole span during detailed simulation.
  *
  * Everything here is a pure function of (streams, start, config): the
- * profiler only calls the pure `TraceSource::at()` interface, k-means
- * seeding is farthest-first from window 0 with lowest-index
- * tie-breaking, and no host randomness or clock is consulted. The same
- * inputs always produce the same phases — the property that keeps
- * sampled runs cacheable and farm-distributable.
+ * profiler only reads PCs, through the pure `TraceSource::scanPcs()`
+ * (a chunk of a window at a time, so memory does not grow with the
+ * window), k-means seeding is farthest-first from window 0 with
+ * lowest-index tie-breaking, and no host randomness or clock is
+ * consulted. The same inputs always produce the same phases — the
+ * property that keeps sampled runs cacheable and farm-distributable.
  */
 
 #ifndef RAT_TRACE_PHASE_HH
@@ -30,11 +31,22 @@
 
 namespace rat::trace {
 
+/**
+ * Most windows one pass may profile. The signature matrix and the
+ * k-means passes grow linearly with the span; this is far above any
+ * useful plan (the defaults profile 64) and keeps a mistyped span from
+ * asking for more memory than a host has.
+ */
+inline constexpr unsigned kMaxSpanWindows = 65536;
+
 /** Parameters of one phase-profiling pass. */
 struct PhaseConfig {
     /** Instructions per profiling window (per thread). */
     InstSeq window = 2048;
-    /** Number of consecutive windows profiled from the start point. */
+    /**
+     * Number of consecutive windows profiled from the start point;
+     * at most kMaxSpanWindows.
+     */
     unsigned spanWindows = 64;
     /** Number of phases (k-means clusters) requested; >= 1. */
     unsigned phases = 4;

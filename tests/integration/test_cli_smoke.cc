@@ -389,6 +389,25 @@ TEST(CliSmoke, ZeroSizedStructuresAreRefused)
     EXPECT_EQ(one.exitCode, 0) << one.output;
 }
 
+TEST(CliSmoke, OversizedPhaseSpanIsRefused)
+{
+    // The profiler's signature matrix grows with the span: 4e9 windows
+    // used to end in an uncaught std::bad_alloc (exit 134, and under
+    // ASan an abort). The span is refused before anything is allocated.
+    for (const char *args :
+         {"run --sampled --phase-span 4000000000 --workload mcf,eon",
+          "run --sampled --phase-span 65537 --workload mcf,eon",
+          "sweep --sampled --phase-span 4000000000 --workloads mcf,eon"}) {
+        const CliResult r = runCli(args);
+        EXPECT_EQ(r.exitCode, 1) << args << "\n" << r.output;
+        EXPECT_NE(r.output.find("fatal: --phase-span"), std::string::npos)
+            << args << "\n" << r.output;
+        EXPECT_NE(r.output.find("limit of 65536 windows"),
+                  std::string::npos)
+            << args << "\n" << r.output;
+    }
+}
+
 TEST(CliSmoke, SubcommandHelpListsItsFlags)
 {
     for (const char *sub : {"run", "report", "verify", "sweep", "farm"}) {

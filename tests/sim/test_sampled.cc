@@ -222,6 +222,57 @@ TEST(Sampled, PinnedOperatingPointMeetsErrorBound)
     EXPECT_LE(worst, 1.5);
 }
 
+struct PlanPin {
+    std::vector<std::string> programs;
+    std::uint64_t seed;
+    std::vector<trace::PhaseSample> samples; ///< (window, weight)
+    const char *assignment;                  ///< cluster id per window
+};
+
+TEST(Sampled, PlanMatchesGolden)
+{
+    // The phase plans at the pinned operating point (4 phases,
+    // 8192-instruction windows, a 48-window span, 100k prewarm),
+    // captured before the profiler read PCs through scanPcs(). A
+    // profiler or trace change that moves a plan moves every sampled
+    // result; re-capture only on purpose.
+    const PlanPin pins[] = {
+        {{"mcf", "eon"},
+         1,
+         {{1, 23}, {27, 8}, {41, 8}, {45, 9}},
+         "000000220011000000001122331133000000221122033333"},
+        {{"mcf", "eon"},
+         6,
+         {{5, 18}, {15, 12}, {35, 12}, {41, 6}},
+         "221100223300111100111122110000002222002233330000"},
+        {{"art", "mcf", "gzip", "crafty"},
+         1,
+         {{13, 12}, {25, 6}, {39, 10}, {45, 20}},
+         "333333003300003322220022111100333311222200333333"},
+    };
+    for (const PlanPin &pin : pins) {
+        SimConfig cfg = pinnedOperatingPoint();
+        cfg.core.numThreads = static_cast<unsigned>(pin.programs.size());
+        cfg.seed = pin.seed;
+        const trace::PhaseProfile &plan = samplePlanFor(cfg, pin.programs);
+        const std::string label =
+            pin.programs[0] + "... seed " + std::to_string(pin.seed);
+
+        ASSERT_EQ(plan.samples.size(), pin.samples.size()) << label;
+        for (std::size_t i = 0; i < pin.samples.size(); ++i) {
+            EXPECT_EQ(plan.samples[i].windowIndex,
+                      pin.samples[i].windowIndex)
+                << label << " sample " << i;
+            EXPECT_EQ(plan.samples[i].weight, pin.samples[i].weight)
+                << label << " sample " << i;
+        }
+        std::string assignment;
+        for (const unsigned cluster : plan.assignment)
+            assignment += static_cast<char>('0' + cluster);
+        EXPECT_EQ(assignment, pin.assignment) << label;
+    }
+}
+
 TEST(Sampled, ResultSerializationRoundTrips)
 {
     SimConfig cfg = baseConfig();

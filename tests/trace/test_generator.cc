@@ -114,39 +114,177 @@ TEST(Generator, StreamMatchesGolden)
     }
 }
 
+/** Fold every field of @p w into @p h. */
+void
+hashWalkOp(check::Fnv64 &h, const WalkOp &w)
+{
+    h.u64(w.pc);
+    h.u64(w.effAddr);
+    h.u64(w.target);
+    h.u64(static_cast<std::uint64_t>(w.op));
+    h.b(w.taken);
+}
+
+/** The walk fields of at(@p idx). */
+WalkOp
+walkOfAt(const TraceSource &src, InstSeq idx)
+{
+    const MicroOp op = src.at(idx);
+    return WalkOp{op.pc, op.effAddr, op.target, op.op, op.taken};
+}
+
+/** How rangeDigest reads a range. */
+enum class Read {
+    At,       ///< every MicroOp field of at()
+    AtWalk,   ///< the walk fields of at()
+    ScanWalk, ///< the walk fields of scanWalk()
+};
+
+/** Digest of [lo, hi) of @p src, read as @p read says. */
+std::uint64_t
+rangeDigest(const TraceSource &src, InstSeq lo, InstSeq hi, Read read)
+{
+    check::Fnv64 h;
+    if (read == Read::ScanWalk) {
+        std::vector<WalkOp> ops(hi - lo);
+        src.scanWalk(lo, ops.size(), ops.data());
+        for (const WalkOp &w : ops)
+            hashWalkOp(h, w);
+    } else {
+        for (InstSeq i = lo; i < hi; ++i) {
+            if (read == Read::At)
+                hashOp(h, src.at(i));
+            else
+                hashWalkOp(h, walkOfAt(src, i));
+        }
+    }
+    return h.value();
+}
+
 TEST(Generator, ConcurrentFirstUseMatchesSerial)
 {
-    // The slot table is built by whichever thread calls at() first.
-    // Four threads released together on a fresh generator must each see
-    // the whole table: their streams must equal a serial walk's.
+    // The slot table is built by whichever thread calls at() or
+    // scanWalk() first. Four threads released together on a fresh
+    // generator must each see the whole table: their streams must
+    // equal a serial walk's, first through at(), then through the scan.
     const BenchmarkProfile &p = spec2000("gcc");
     constexpr unsigned kThreads = 4;
     constexpr InstSeq kPerThread = 20000;
-    const TraceGenerator shared(p, 3, kBase);
-    std::vector<std::uint64_t> digests(kThreads);
-    std::atomic<bool> go{false};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            check::Fnv64 h;
-            for (InstSeq i = t * kPerThread; i < (t + 1) * kPerThread; ++i)
-                hashOp(h, shared.at(i));
-            digests[t] = h.value();
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (std::thread &th : threads)
-        th.join();
+    for (const bool scanned : {false, true}) {
+        const TraceGenerator shared(p, 3, kBase);
+        std::vector<std::uint64_t> digests(kThreads);
+        std::atomic<bool> go{false};
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                while (!go.load(std::memory_order_acquire)) {
+                }
+                digests[t] = rangeDigest(shared, t * kPerThread,
+                                         (t + 1) * kPerThread,
+                                         scanned ? Read::ScanWalk
+                                                 : Read::At);
+            });
+        }
+        go.store(true, std::memory_order_release);
+        for (std::thread &th : threads)
+            th.join();
 
-    const TraceGenerator serial(p, 3, kBase);
-    for (unsigned t = 0; t < kThreads; ++t) {
-        check::Fnv64 h;
-        for (InstSeq i = t * kPerThread; i < (t + 1) * kPerThread; ++i)
-            hashOp(h, serial.at(i));
-        EXPECT_EQ(digests[t], h.value()) << "thread " << t;
+        const TraceGenerator serial(p, 3, kBase);
+        for (unsigned t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(digests[t],
+                      rangeDigest(serial, t * kPerThread,
+                                  (t + 1) * kPerThread,
+                                  scanned ? Read::AtWalk : Read::At))
+                << "thread " << t << (scanned ? ", scan" : ", at()");
+        }
     }
+}
+
+/**
+ * The ranges the scan tests cover: mid-phase, across a phase boundary,
+ * across a pointer-chase index (when the program chases), n = 1 (mid-
+ * phase and on a chase index), several phases, and past 2^40.
+ */
+std::vector<std::pair<InstSeq, InstSeq>>
+scanRanges(const BenchmarkProfile &p)
+{
+    const InstSeq phase = p.phaseInsts;
+    std::vector<std::pair<InstSeq, InstSeq>> r = {
+        {phase / 2 + 3, phase / 2 + 700},
+        {3 * phase - 130, 3 * phase + 70},
+        {phase + 5, phase + 6},
+        {2 * phase - 17, 5 * phase + 33},
+        {(InstSeq{1} << 40) - 300, (InstSeq{1} << 40) + 300},
+    };
+    if (p.chasePeriod != 0) {
+        const InstSeq chase = 7 * InstSeq{p.chasePeriod};
+        r.push_back({chase - 9, chase + 9});
+        r.push_back({chase, chase + 1});
+    }
+    return r;
+}
+
+/** Expect @p src's scans of [lo, hi) to equal @p ref's at(). */
+void
+expectScansMatchAt(const TraceSource &src, const TraceSource &ref,
+                   InstSeq lo, InstSeq hi, const std::string &label)
+{
+    const std::size_t n = hi - lo;
+    std::vector<Addr> pcs(n);
+    std::vector<WalkOp> ops(n);
+    src.scanPcs(lo, n, pcs.data());
+    src.scanWalk(lo, n, ops.data());
+    for (std::size_t i = 0; i < n; ++i) {
+        const MicroOp op = ref.at(lo + i);
+        ASSERT_EQ(pcs[i], op.pc) << label << " index " << lo + i;
+        ASSERT_EQ(ops[i].pc, op.pc) << label << " index " << lo + i;
+        ASSERT_EQ(ops[i].op, op.op) << label << " index " << lo + i;
+        ASSERT_EQ(ops[i].effAddr, op.effAddr)
+            << label << " index " << lo + i;
+        ASSERT_EQ(ops[i].taken, op.taken) << label << " index " << lo + i;
+        ASSERT_EQ(ops[i].target, op.target)
+            << label << " index " << lo + i;
+    }
+}
+
+TEST(Generator, ScansMatchAt)
+{
+    // scanPcs and scanWalk share at()'s per-field code; a scan must
+    // never disagree with at() on a field it fills, wherever the range
+    // starts and whatever boundary it crosses.
+    for (const std::string &name : spec2000Names()) {
+        const BenchmarkProfile &p = spec2000(name);
+        for (const std::uint64_t seed : {1u, 7u}) {
+            const TraceGenerator gen(p, seed, kBase);
+            for (const auto &[lo, hi] : scanRanges(p)) {
+                expectScansMatchAt(gen, gen, lo, hi,
+                                   name + " seed " + std::to_string(seed));
+            }
+        }
+    }
+}
+
+/** A source that implements only at(): it reads the scan defaults. */
+class AtOnlySource : public TraceSource
+{
+  public:
+    explicit AtOnlySource(const TraceSource &inner) : inner_(inner) {}
+
+    MicroOp at(InstSeq idx) const override { return inner_.at(idx); }
+
+  private:
+    const TraceSource &inner_;
+};
+
+TEST(Generator, DefaultScansMatchAt)
+{
+    // ScriptedSource, FailingSource and other test sources implement
+    // only at(); TraceSource's default scans must read it faithfully.
+    const BenchmarkProfile &p = spec2000("mcf");
+    const TraceGenerator gen(p, 3, kBase);
+    const AtOnlySource src(gen);
+    for (const auto &[lo, hi] : scanRanges(p))
+        expectScansMatchAt(src, gen, lo, hi, "at()-only mcf");
 }
 
 TEST(Generator, RefusesCodeBeyondTheSlotTable)

@@ -167,5 +167,16 @@ TEST(Phase, MorePhasesThanWindowsClamps)
     EXPECT_EQ(p.totalWeight(), 3u);
 }
 
+TEST(Phase, RefusesSpansAboveTheLimit)
+{
+    // The signature matrix grows with the span: a span past the limit
+    // fails as a configuration error before anything is allocated.
+    PhaseConfig cfg;
+    cfg.window = 1;
+    cfg.spanWindows = kMaxSpanWindows + 1;
+    EXPECT_EXIT(profileOf({"gzip"}, 0, cfg), ::testing::ExitedWithCode(1),
+                "limit of 65536");
+}
+
 } // namespace
 } // namespace rat::trace
