@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot components
  * (engineering health, not a paper figure): cache access, perceptron
- * prediction, trace synthesis and its sequential scans, the functional
- * prewarm walk, and whole-core cycle throughput.
+ * prediction, trace synthesis and its sequential scans, result
+ * serialization, the functional prewarm walk, and whole-core cycle
+ * throughput.
  */
 
 #include <array>
@@ -14,6 +15,8 @@
 #include "core/smt_core.hh"
 #include "mem/hierarchy.hh"
 #include "policy/factory.hh"
+#include "report/result_cache.hh"
+#include "report/serialize.hh"
 #include "sim/simulator.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
@@ -120,6 +123,53 @@ BM_TraceScan(benchmark::State &state)
                             static_cast<std::int64_t>(kChunk * gens.size()));
 }
 BENCHMARK(BM_TraceScan)->Arg(0)->Arg(1);
+
+/** A short MIX4 cell: its effective config and its result. */
+struct Mix4Cell {
+    sim::SimConfig config;
+    sim::SimResult result;
+};
+
+const Mix4Cell &
+mix4Cell()
+{
+    static const Mix4Cell cell = [] {
+        sim::SimConfig cfg;
+        cfg.prewarmInsts = 10000;
+        cfg.warmupCycles = 200;
+        cfg.measureCycles = 2000;
+        sim::Simulator sim(cfg, kMix4);
+        return Mix4Cell{sim.config(), sim.run()};
+    }();
+    return cell;
+}
+
+void
+BM_ReportRoundTrip(benchmark::State &state)
+{
+    // What a cell pays around its cache I/O: toJson(SimResult).dump()
+    // of one MIX4 result (argument 0), Json::parse + fromJson of that
+    // text (1), or ResultCache::keyFor of its config (2). The result
+    // comes from a short run: the serializer walks its shape (four
+    // threads, every counter), whatever the values.
+    const Mix4Cell &cell = mix4Cell();
+    const std::string text = report::toJson(cell.result).dump();
+    const auto part = state.range(0);
+    for (auto _ : state) {
+        if (part == 0) {
+            benchmark::DoNotOptimize(report::toJson(cell.result).dump());
+        } else if (part == 1) {
+            const auto json = report::Json::parse(text);
+            sim::SimResult back;
+            benchmark::DoNotOptimize(json && report::fromJson(*json, back));
+        } else {
+            benchmark::DoNotOptimize(
+                report::ResultCache::keyFor(cell.config, kMix4));
+        }
+    }
+    state.SetLabel(part == 0 ? "serialize" : part == 1 ? "parse" : "key");
+}
+BENCHMARK(BM_ReportRoundTrip)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_PrewarmWalk(benchmark::State &state)

@@ -48,6 +48,14 @@ inline constexpr unsigned kNumArchRegs = 32;
 /** Maximum number of hardware threads the core supports. */
 inline constexpr unsigned kMaxThreads = 8;
 
+/**
+ * Largest ROB, rename-register file or per-thread runahead cache, in
+ * entries, a run may ask for. Register numbers 0..65531 stay clear of
+ * the 16-bit rename-map sentinels (kMapInv 0xFFFD, kMapArch 0xFFFE,
+ * kNoPhysReg); Table 1's largest structure has 512 entries.
+ */
+inline constexpr unsigned kMaxStructureEntries = 65532;
+
 } // namespace rat
 
 #endif // RAT_COMMON_TYPES_HH

@@ -4,12 +4,16 @@
  * types. `toJson` emits every field that affects or describes a run;
  * the matching `fromJson` reads it back exactly (numeric fields
  * round-trip bit-for-bit, see report/json.hh), returning false on
- * missing or ill-typed members instead of guessing.
+ * missing or ill-typed members instead of guessing. An optional member
+ * or block the document leaves out reads as off.
  *
- * The on-disk result cache (report/result_cache.hh) builds its content
+ * Each serialized type names its members once, in one `visit` in
+ * serialize.cc that both directions walk; a member the visit leaves
+ * out is host-only and reaches neither the JSON nor the reader. The
+ * on-disk result cache (report/result_cache.hh) builds its content
  * hash from the canonical compact dump of `toJson(SimConfig)`, so the
- * serialization *is* the cache-key definition: adding a semantically
- * relevant config field here automatically invalidates stale cells.
+ * visits *are* the cache-key definition: a semantically relevant
+ * config field added to its type's visit invalidates stale cells.
  */
 
 #ifndef RAT_REPORT_SERIALIZE_HH
@@ -22,35 +26,15 @@
 
 namespace rat::report {
 
-// --- Configuration ---
-Json toJson(const core::RatConfig &rat);
-Json toJson(const core::CoreConfig &core);
-Json toJson(const mem::CacheConfig &cache);
-Json toJson(const mem::MemConfig &mem);
 Json toJson(const sim::SimConfig &config);
-
-bool fromJson(const Json &json, core::RatConfig &rat);
-bool fromJson(const Json &json, core::CoreConfig &core);
-bool fromJson(const Json &json, mem::CacheConfig &cache);
-bool fromJson(const Json &json, mem::MemConfig &mem);
-bool fromJson(const Json &json, sim::SimConfig &config);
-
-// --- Results ---
-Json toJson(const core::ThreadStats &stats);
-Json toJson(const mem::ThreadMemStats &stats);
-Json toJson(const obs::Log2Histogram &hist);
-Json toJson(const obs::TelemetryResult &telemetry);
-Json toJson(const sim::ThreadResult &thread);
 Json toJson(const sim::SimResult &result);
 Json toJson(const sim::GroupMetrics &metrics);
+Json toJson(const obs::Log2Histogram &hist);
 
-bool fromJson(const Json &json, core::ThreadStats &stats);
-bool fromJson(const Json &json, mem::ThreadMemStats &stats);
-bool fromJson(const Json &json, obs::Log2Histogram &hist);
-bool fromJson(const Json &json, obs::TelemetryResult &telemetry);
-bool fromJson(const Json &json, sim::ThreadResult &thread);
+bool fromJson(const Json &json, sim::SimConfig &config);
 bool fromJson(const Json &json, sim::SimResult &result);
 bool fromJson(const Json &json, sim::GroupMetrics &metrics);
+bool fromJson(const Json &json, obs::Log2Histogram &hist);
 
 /**
  * Runahead-engine statistics as a JSON block. One-way: `SimResult` does

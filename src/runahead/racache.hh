@@ -33,9 +33,15 @@ class RunaheadCache
     explicit RunaheadCache(unsigned lines_per_thread)
         : capacity_(lines_per_thread ? lines_per_thread : 1)
     {
+        if (capacity_ > kMaxStructureEntries)
+            fatal("runahead cache of %u lines exceeds the limit of %u",
+                  capacity_, kMaxStructureEntries);
         // Power-of-two table at most half full keeps probe chains short.
+        // The test halves the table rather than doubling the capacity,
+        // so it cannot wrap; the limit keeps the table at 2^17 slots or
+        // fewer.
         tableSize_ = 8;
-        while (tableSize_ < 2 * capacity_)
+        while (tableSize_ / 2 < capacity_)
             tableSize_ *= 2;
         for (Thread &t : threads_) {
             t.ring.resize(capacity_);

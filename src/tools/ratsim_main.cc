@@ -160,6 +160,19 @@ struct Cli {
 /** `ratsim --help`, or `ratsim <subcommand> --help`. */
 void printHelp(const Cli &c);
 
+/**
+ * @p size of a ROB, register file or runahead cache, refused above
+ * kMaxStructureEntries before anything is allocated for it.
+ */
+unsigned
+boundedSize(unsigned size, const char *flag)
+{
+    if (size > kMaxStructureEntries)
+        fatal("%s: %u exceeds the limit of %u entries", flag, size,
+              kMaxStructureEntries);
+    return size;
+}
+
 /** A ROB or register-file size: with 0 the core never dispatches. */
 unsigned
 coreSize(const char *text, const char *flag)
@@ -168,7 +181,7 @@ coreSize(const char *text, const char *flag)
     if (size == 0)
         fatal("%s: a size of 0 builds a core that never dispatches",
               flag);
-    return size;
+    return boundedSize(size, flag);
 }
 
 /** A comma-separated sweep axis of coreSize values. */
@@ -322,7 +335,9 @@ const Flag kFlags[] = {
      "useless-filter: reprobe every Nth load (0 = never)",
      [](Cli &c) { c.rat().uselessFilterReprobe = c.u32(); }},
     {"--ra-cache-lines", "N", kEvery, "runahead-cache lines per thread",
-     [](Cli &c) { c.rat().runaheadCacheLines = c.u32(); }},
+     [](Cli &c) {
+         c.rat().runaheadCacheLines = boundedSize(c.u32(), c.flag);
+     }},
     {"--no-fp-drop", nullptr, kEvery, "execute FP work in runahead",
      [](Cli &c) { c.rat().dropFpInRunahead = false; }},
     {"--runahead-cache", nullptr, kEvery, "enable the runahead cache",

@@ -408,6 +408,46 @@ TEST(CliSmoke, OversizedPhaseSpanIsRefused)
     }
 }
 
+TEST(CliSmoke, OversizedStructuresAreRefused)
+{
+    // A 4e9-entry ROB or register axis used to end in an uncaught
+    // std::bad_alloc (exit 134), and a 4e9-line runahead cache sized
+    // its table in a loop that wrapped to 0 and never returned. Sizes
+    // above the limit are refused before anything is allocated.
+    const std::string windows = " --measure 200 --warmup 10 --prewarm 100";
+    const struct {
+        const char *args;
+        const char *fatal;
+    } cases[] = {
+        {"run --workload art,mcf --rob 4000000000", "fatal: --rob: "},
+        {"run --workload art,mcf --rob 65533", "fatal: --rob: "},
+        {"sweep --workloads art,mcf --regs 64,4000000000",
+         "fatal: --regs: "},
+        {"sweep --workloads art,mcf --regs 64,65533", "fatal: --regs: "},
+        {"run --workload art,mcf --policy ICOUNT "
+         "--ra-cache-lines 4000000000",
+         "fatal: --ra-cache-lines: "},
+        {"run --workload art,mcf --policy ICOUNT --ra-cache-lines 65533",
+         "fatal: --ra-cache-lines: "},
+    };
+    for (const auto &c : cases) {
+        const CliResult r = runCli(c.args + windows);
+        EXPECT_EQ(r.exitCode, 1) << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find(c.fatal), std::string::npos)
+            << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find("limit of 65532 entries"), std::string::npos)
+            << c.args << "\n" << r.output;
+    }
+    // The limit itself still runs.
+    for (const char *args :
+         {"run --workload art,mcf --rob 65532 --regs 65532 "
+          "--runahead-cache --ra-cache-lines 65532",
+          "sweep --workloads art,mcf --regs 64,65532"}) {
+        const CliResult r = runCli(args + windows);
+        EXPECT_EQ(r.exitCode, 0) << args << "\n" << r.output;
+    }
+}
+
 TEST(CliSmoke, SubcommandHelpListsItsFlags)
 {
     for (const char *sub : {"run", "report", "verify", "sweep", "farm"}) {
