@@ -2,9 +2,9 @@
  * @file
  * Google-benchmark micro-benchmarks of the simulator's hot components
  * (engineering health, not a paper figure): cache access, perceptron
- * prediction, trace synthesis and its sequential scans, result
- * serialization, the functional prewarm walk, and whole-core cycle
- * throughput.
+ * prediction and training, trace synthesis and its sequential scans,
+ * result serialization, the functional prewarm walk, and whole-core
+ * cycle throughput.
  */
 
 #include <array>
@@ -76,6 +76,45 @@ BM_PerceptronPredict(benchmark::State &state)
 BENCHMARK(BM_PerceptronPredict);
 
 void
+BM_PerceptronTrain(benchmark::State &state)
+{
+    // Predict + update over the conditional branches of a 100k-
+    // instruction walk of the default MIX4 streams, in walk order
+    // (instruction i of every thread, then i + 1), cycled: the work of
+    // the walk's predictor lane. Items are branches.
+    struct Branch {
+        ThreadId tid;
+        Addr pc;
+        bool taken;
+    };
+    static const std::vector<Branch> branches = [] {
+        const auto gens = sim::makeStreams(sim::SimConfig{}.seed, kMix4);
+        std::vector<Branch> out;
+        for (InstSeq i = 0; i < 100000; ++i) {
+            for (std::size_t t = 0; t < gens.size(); ++t) {
+                const trace::MicroOp op = gens[t]->at(i);
+                if (op.op == trace::OpClass::Branch)
+                    out.push_back({static_cast<ThreadId>(t), op.pc,
+                                   op.taken});
+            }
+        }
+        return out;
+    }();
+    branch::PerceptronPredictor p;
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const Branch &b = branches[k];
+        const auto out = p.predict(b.tid, b.pc);
+        p.update(b.tid, b.pc, b.taken, out);
+        if (++k == branches.size())
+            k = 0;
+    }
+    benchmark::DoNotOptimize(p.mispredicts());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PerceptronTrain);
+
+void
 BM_TraceGenerate(benchmark::State &state)
 {
     // The four streams of a default MIX4 Simulator, walked in prewarm
@@ -98,31 +137,38 @@ void
 BM_TraceScan(benchmark::State &state)
 {
     // The same four streams through the sequential scans: the PC scan
-    // (argument 0, what the phase profiler reads) or the walk scan
-    // (argument 1, what the prewarm walk reads), a 64-instruction
-    // chunk of every stream per iteration. Items are instructions.
+    // (argument 0, what the phase profiler reads), the walk scan
+    // (argument 1, what the prewarm walk reads) or the full-MicroOp
+    // scan (argument 2, what a fetch-memo miss refills), a
+    // 64-instruction chunk of every stream per iteration. Items are
+    // instructions.
     constexpr std::size_t kChunk = 64;
-    const bool walk = state.range(0) != 0;
+    const auto kind = state.range(0);
     const auto gens = sim::makeStreams(sim::SimConfig{}.seed, kMix4);
     std::array<Addr, kChunk> pcs;
-    std::array<trace::WalkOp, kChunk> ops;
+    std::array<trace::WalkRecord, kChunk> recs;
+    std::array<trace::MicroOp, kChunk> ops;
     InstSeq i = 0;
     for (auto _ : state) {
         for (const auto &g : gens) {
-            if (walk)
-                g->scanWalk(i, kChunk, ops.data());
-            else
+            if (kind == 0)
                 g->scanPcs(i, kChunk, pcs.data());
+            else if (kind == 1)
+                g->scanWalk(i, kChunk, recs.data(), 1);
+            else
+                g->scanOps(i, kChunk, ops.data());
         }
-        benchmark::DoNotOptimize(pcs);
-        benchmark::DoNotOptimize(ops);
+        benchmark::DoNotOptimize(pcs.data());
+        benchmark::DoNotOptimize(recs.data());
+        benchmark::DoNotOptimize(ops.data());
+        benchmark::ClobberMemory();
         i += kChunk;
     }
-    state.SetLabel(walk ? "walk" : "pcs");
+    state.SetLabel(kind == 0 ? "pcs" : kind == 1 ? "walk" : "ops");
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(kChunk * gens.size()));
 }
-BENCHMARK(BM_TraceScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_TraceScan)->Arg(0)->Arg(1)->Arg(2);
 
 /** A short MIX4 cell: its effective config and its result. */
 struct Mix4Cell {

@@ -20,17 +20,21 @@
 
 namespace rat::branch {
 
+/** Largest perceptron table the predictor accepts (entries). */
+inline constexpr unsigned kMaxPerceptronEntries = 1u << 16;
+
 /** Configuration for the perceptron predictor. */
 struct PerceptronConfig {
     /**
-     * Number of perceptrons in the (thread-shared) table. The synthetic
-     * traces spread branches over the whole code footprint, so the
-     * table is sized to keep destructive aliasing low.
+     * Number of perceptrons in the (thread-shared) table, in
+     * [1, kMaxPerceptronEntries]. The synthetic traces spread branches
+     * over the whole code footprint, so the table is sized to keep
+     * destructive aliasing low.
      */
     unsigned tableEntries = 4096;
-    /** Global history length (bits), max 63. */
+    /** Global history length (bits), in [1, 63]. */
     unsigned historyBits = 28;
-    /** Saturation magnitude of each weight. */
+    /** Saturation magnitude of each weight, in [1, 127]. */
     int weightLimit = 127;
 };
 
@@ -84,15 +88,21 @@ class PerceptronPredictor
      * Checkpoint enumeration (sim/checkpoint.hh): one template drives
      * both encode and decode — weight table, per-thread histories and
      * the statistics counters. The size marker turns a table-geometry
-     * mismatch into a decode error.
+     * mismatch into a decode error. Only the historyBits + 1 weights
+     * of each row are visited, never the padding, so the blob does not
+     * depend on the row layout.
      */
     template <typename IO>
     void
     ckptVisit(IO &io)
     {
-        io.size(weights_.size());
-        for (std::int8_t &w : weights_)
-            io.scalar(w);
+        const unsigned inputs = config_.historyBits + 1;
+        io.size(std::size_t{config_.tableEntries} * inputs);
+        for (std::size_t r = 0; r < config_.tableEntries; ++r) {
+            std::int8_t *w = &weights_[r * stride_];
+            for (unsigned i = 0; i < inputs; ++i)
+                io.scalar(w[i]);
+        }
         for (std::uint64_t &h : history_)
             io.scalar(h);
         io.scalar(lookups_);
@@ -101,12 +111,23 @@ class PerceptronPredictor
 
   private:
     std::int32_t dot(const std::int8_t *w, std::uint64_t hist) const;
-    unsigned indexOf(Addr pc) const;
+    void train(std::int8_t *w, std::uint64_t hist, bool taken);
+    std::int8_t *row(Addr pc);
+    std::uint64_t historyMask() const
+    {
+        return (std::uint64_t{1} << config_.historyBits) - 1;
+    }
 
     PerceptronConfig config_;
     int theta_;
-    unsigned historyMaskBits_;
-    /** tableEntries x (historyBits + 1 bias) weights, row-major. */
+    /** Weights per row: historyBits + 1 rounded up to the lane count. */
+    unsigned stride_;
+    /** tableEntries - 1 when tableEntries is a power of two, else 0. */
+    std::uint64_t indexMask_;
+    /**
+     * tableEntries rows of stride_ weights: the bias, one weight per
+     * history bit, then zero padding that training never touches.
+     */
     std::vector<std::int8_t> weights_;
     std::array<std::uint64_t, kMaxThreads> history_{};
 

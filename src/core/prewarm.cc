@@ -6,9 +6,10 @@
  * The walk warms five structures: L1I, L1D, L2, perceptron and BTB. No
  * one of them reads another, so each one's final state depends only on
  * its own ordered sequence of installs and updates, with their pseudo
- * time stamps. The walk is therefore split in two: a record maker turns
- * each thread-instruction's walk fields (TraceSource::scanWalk, 64
- * instructions of a thread at a time) into a WalkRecord, and four lanes
+ * time stamps. The walk is therefore split in two: a record maker has
+ * the streams write each thread-instruction's WalkRecord
+ * (TraceSource::scanWalk, 64 instructions of a thread at a time,
+ * interleaved by thread in place), and four lanes
  * (L1I; L1D; L2; perceptron + BTB) each replay one structure's updates
  * in the serial (instruction, thread) order. Which thread makes a
  * record, or runs a lane, cannot change a byte.
@@ -36,40 +37,7 @@ namespace rat::core {
 
 namespace {
 
-/** What the lanes read of one thread-instruction. */
-struct WalkRecord {
-    Addr pc = 0;
-    /** Data address of a memory op; target of a taken branch or call. */
-    Addr address = 0;
-    std::uint8_t flags = 0;
-};
-
-enum WalkFlag : std::uint8_t {
-    kMemOp = 1,     ///< L1D and L2 install the data line of `address`
-    kCondBranch = 2, ///< the perceptron trains on this branch
-    kTaken = 4,     ///< the conditional branch's resolved direction
-    kBtbUpdate = 8, ///< taken branch or call: the BTB learns `address`
-};
-
-WalkRecord
-makeRecord(const trace::WalkOp &op)
-{
-    WalkRecord r;
-    r.pc = op.pc;
-    if (trace::isMemOp(op.op)) {
-        r.address = op.effAddr;
-        r.flags = kMemOp;
-    } else if (op.op == trace::OpClass::Branch ||
-               op.op == trace::OpClass::Call) {
-        if (op.op == trace::OpClass::Branch)
-            r.flags = kCondBranch | (op.taken ? kTaken : 0);
-        if (op.taken) {
-            r.address = op.target;
-            r.flags |= kBtbUpdate;
-        }
-    }
-    return r;
-}
+using trace::WalkRecord;
 
 /**
  * The walk's four lanes. Each owns one structure (the L2 lane both of
@@ -99,7 +67,7 @@ class WalkLanes
     l1d(const WalkRecord &r, unsigned, Cycle now)
     {
         Addr evicted = 0;
-        if (r.flags & kMemOp)
+        if (r.flags & trace::kWalkMemOp)
             l1dCache_.install(l1dCache_.lineAlign(r.address), now, now,
                               evicted);
     }
@@ -110,7 +78,7 @@ class WalkLanes
         Addr evicted = 0;
         l2Cache_.installHinted(l2Cache_.lineAlign(r.pc), now, now, evicted,
                                l2Hint_[t]);
-        if (r.flags & kMemOp)
+        if (r.flags & trace::kWalkMemOp)
             l2Cache_.install(l2Cache_.lineAlign(r.address), now, now,
                              evicted);
     }
@@ -118,12 +86,12 @@ class WalkLanes
     void
     predict(const WalkRecord &r, unsigned t, Cycle)
     {
-        if (r.flags & kCondBranch) {
+        if (r.flags & trace::kWalkCondBranch) {
             const auto tid = static_cast<ThreadId>(t);
             const auto out = pred_.predict(tid, r.pc);
-            pred_.update(tid, r.pc, (r.flags & kTaken) != 0, out);
+            pred_.update(tid, r.pc, (r.flags & trace::kWalkTaken) != 0, out);
         }
-        if (r.flags & kBtbUpdate)
+        if (r.flags & trace::kWalkBtbUpdate)
             btb_.update(r.pc, r.address);
     }
 
@@ -256,13 +224,9 @@ struct WalkStreams {
 void
 makeRecords(const WalkStreams &in, InstSeq i, InstSeq n, WalkRecord *out)
 {
-    std::array<trace::WalkOp, kChunkInsts> ops;
-    for (unsigned t = 0; t < in.threads; ++t) {
+    for (unsigned t = 0; t < in.threads; ++t)
         in.gen[t]->scanWalk(in.base[t] + i, static_cast<std::size_t>(n),
-                            ops.data());
-        for (InstSeq k = 0; k < n; ++k)
-            out[k * in.threads + t] = makeRecord(ops[k]);
-    }
+                            out + t, in.threads);
 }
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "check/auditor.hh"
 #include "check/digest.hh"
@@ -78,6 +79,8 @@ SmtCore::SmtCore(const CoreConfig &config, mem::MemoryHierarchy &mem,
         RAT_ASSERT(streams[t] != nullptr, "null trace stream");
         threads_[t].gen = streams[t];
         threads_[t].traceMemo.resize(kTraceMemoSize);
+        threads_[t].traceMemoBase.assign(kTraceMemoSize / kTraceMemoBlock,
+                                         ~InstSeq{0});
     }
     policy_.reset(*this);
 }
@@ -504,8 +507,13 @@ SmtCore::wakeStoreDependents(DynInst &store, bool inv)
 void
 SmtCore::pushReady(DynInst &inst)
 {
-    if (inst.status == InstStatus::InQueue && inst.allSrcsReady())
-        readyQ_.push({inst.uid, inst.handle()});
+    if (inst.status != InstStatus::InQueue || !inst.allSrcsReady())
+        return;
+    // Mostly the youngest entry: search from the back.
+    auto pos = readyQ_.end();
+    while (pos != readyQ_.begin() && std::prev(pos)->uid > inst.uid)
+        --pos;
+    readyQ_.insert(pos, {inst.uid, inst.handle()});
 }
 
 void
@@ -1169,21 +1177,25 @@ SmtCore::tryIssueInst(DynInst &inst)
 void
 SmtCore::issueStage()
 {
-    // Event-driven: pop oldest-first from the incrementally maintained
+    // Event-driven: take oldest-first from the incrementally maintained
     // ready queue. Entries are validated lazily — instructions folded
     // or squashed since insertion are dropped here; instructions that
-    // stay ready but lose arbitration (port/FU conflicts) are re-queued
-    // for the next cycle.
+    // stay ready but lose arbitration (port/FU conflicts) keep their
+    // place for the next cycle.
     // Any queued candidate — even a stale or arbitration-blocked one —
     // means this cycle examined scheduler state and the next may too.
     if (!readyQ_.empty())
         tickActivity_ = true;
 
+    // Nothing in tryIssueInst inserts into the ready queue (a fold
+    // there only feeds foldQueue_), so the visited prefix [0, next)
+    // compacts in place into [0, kept).
     unsigned budget = config_.issueWidth;
-    readyPutback_.clear();
-    while (budget > 0 && !readyQ_.empty()) {
-        const ReadyEntry e = readyQ_.top();
-        readyQ_.pop();
+    const std::size_t queued = readyQ_.size();
+    std::size_t next = 0;
+    std::size_t kept = 0;
+    for (; budget > 0 && next < queued; ++next) {
+        const ReadyEntry e = readyQ_[next];
         ++sched_.readySelectVisits;
         DynInst *inst = pool_.get(e.inst);
         if (!inst || inst->uid != e.uid)
@@ -1192,11 +1204,13 @@ SmtCore::issueStage()
             continue; // folded since insertion
         if (tryIssueInst(*inst))
             --budget;
+        RAT_ASSERT(readyQ_.size() == queued,
+                   "ready queue grew while issue walked it");
         if (inst->status == InstStatus::InQueue && inst->allSrcsReady())
-            readyPutback_.push_back(e); // lost arbitration: still ready
+            readyQ_[kept++] = e; // lost arbitration: still ready
     }
-    for (const ReadyEntry &e : readyPutback_)
-        readyQ_.push(e);
+    readyQ_.erase(readyQ_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  readyQ_.begin() + static_cast<std::ptrdiff_t>(next));
 
     // Drain INV cascades started by at-issue folding.
     drainFolds();
@@ -1382,13 +1396,15 @@ SmtCore::renameStage()
 trace::MicroOp
 SmtCore::traceAt(ThreadState &t, InstSeq seq)
 {
-    ThreadState::TraceMemoEntry &e =
-        t.traceMemo[seq & (kTraceMemoSize - 1)];
-    if (e.seq != seq) {
-        e.seq = seq;
-        e.op = t.gen->at(seq);
+    const InstSeq base = seq & ~InstSeq{kTraceMemoBlock - 1};
+    const std::size_t slot = seq & (kTraceMemoSize - 1);
+    const std::size_t first = slot & ~(kTraceMemoBlock - 1);
+    InstSeq &held = t.traceMemoBase[first / kTraceMemoBlock];
+    if (held != base) {
+        t.gen->scanOps(base, kTraceMemoBlock, &t.traceMemo[first]);
+        held = base;
     }
-    return e.op;
+    return t.traceMemo[slot];
 }
 
 void

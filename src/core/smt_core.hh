@@ -314,15 +314,15 @@ class SmtCore
         /**
          * Trace memoization: runahead exit and branch redirects rewind
          * nextSeq and refetch the same trace window — under RaT, well
-         * over half of all fetches are refetches. TraceGenerator::at is
-         * purely functional in (seed, seq), so a direct-mapped memo
-         * turns those refetches into array hits.
+         * over half of all fetches are refetches. A trace is purely
+         * functional in (seed, seq), so a direct-mapped memo turns
+         * those refetches into array hits. It holds kTraceMemoSize
+         * micro-ops in aligned blocks of kTraceMemoBlock; a miss
+         * refills its whole block with one TraceSource::scanOps call.
          */
-        struct TraceMemoEntry {
-            InstSeq seq = ~InstSeq{0};
-            trace::MicroOp op{};
-        };
-        std::vector<TraceMemoEntry> traceMemo;
+        std::vector<trace::MicroOp> traceMemo;
+        /** First index held by each memo block (~0: none). */
+        std::vector<InstSeq> traceMemoBase;
 
         // Per-thread runahead state (episode checkpoint, exit horizon,
         // suppression sets) lives in the RunaheadEngine, not here.
@@ -340,22 +340,17 @@ class SmtCore
                             std::greater<InstEvent>>;
 
     /**
-     * One entry of the incrementally maintained ready queue: pushed the
-     * moment an instruction's last source turns Ready, popped
+     * One entry of the incrementally maintained ready queue: inserted
+     * the moment an instruction's last source turns Ready, taken
      * oldest-first (by uid) at issue. Entries are lazily validated at
-     * pop time — an instruction folded or squashed after insertion
+     * issue time — an instruction folded or squashed after insertion
      * leaves a stale entry behind, detected by the pool generation
      * check plus the uid match.
      */
     struct ReadyEntry {
         std::uint64_t uid;
         InstHandle inst;
-        bool operator>(const ReadyEntry &o) const { return uid > o.uid; }
     };
-
-    using ReadyQueue =
-        std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
-                            std::greater<ReadyEntry>>;
 
     // --- pipeline stages --------------------------------------------------
     void processCompletions();
@@ -370,6 +365,8 @@ class SmtCore
     /** Trace-memo capacity per thread (power of two, covers the fetch
      * window of one runahead episode). */
     static constexpr std::size_t kTraceMemoSize = 1024;
+    /** Micro-ops per trace-memo refill (a power of two). */
+    static constexpr std::size_t kTraceMemoBlock = 32;
     /** Micro-op at @p seq of @p t's trace, via the trace memo. */
     trace::MicroOp traceAt(ThreadState &t, InstSeq seq);
     void fetchThread(ThreadId tid, unsigned &budget);
@@ -524,7 +521,13 @@ class SmtCore
     EventQueue completions_;
     EventQueue l2Detections_;
 
-    ReadyQueue readyQ_; ///< age-ordered ready instructions
+    /**
+     * Ready instructions in ascending uid (age) order. Issue takes
+     * entries from the front, so it visits them in the order a min-heap
+     * on uid pops them: a uid names one instruction, so equal keys are
+     * equal entries and the order is total.
+     */
+    std::vector<ReadyEntry> readyQ_;
     SchedCounters sched_;
     SkipStats skip_;
 
@@ -562,7 +565,6 @@ class SmtCore
     std::array<EpisodeTraceEntry, kMaxThreads> raTrace_{};
 
     std::vector<ThreadId> fetchOrder_; // scratch
-    std::vector<ReadyEntry> readyPutback_; // un-issued ready re-queue
     std::vector<InstHandle> foldQueue_; // INV cascade worklist
 };
 

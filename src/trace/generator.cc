@@ -460,35 +460,88 @@ void
 TraceGenerator::scan(InstSeq first, std::size_t n, F &&f) const
 {
     const std::uint64_t phase_len = profile_->phaseInsts;
+    const std::uint64_t loop_len = loopDiv_.divisor();
+    const std::uint32_t period = profile_->chasePeriod;
     InstSeq idx = first;
+    std::uint64_t offset = loopDiv_.mod(idx); // codeWord's idx % loop_len
+    // The first chase index at or after idx: chase numbers start at 1.
+    std::uint64_t chase_num = 0;
+    InstSeq next_chase = ~InstSeq{0};
+    if (period != 0) {
+        const std::uint64_t q = chaseDiv_.div(idx);
+        chase_num = q != 0 && q * period == idx ? q : q + 1;
+        next_chase = chase_num * period;
+    }
     while (n > 0) {
         const std::uint64_t phase = phaseDiv_.div(idx);
         const std::uint64_t phase_word = phaseWord(phase);
         const std::uint64_t left = phase_len - (idx - phase * phase_len);
         const std::size_t take =
             static_cast<std::size_t>(std::min<std::uint64_t>(n, left));
-        for (std::size_t i = 0; i < take; ++i, ++idx)
-            f(idx, codeWord(phase_word, idx));
+        std::uint64_t word = codeDiv_.mod(phase_word + offset);
+        for (std::size_t i = 0; i < take; ++i, ++idx) {
+            std::uint64_t chase = 0;
+            if (idx == next_chase) {
+                chase = chase_num++;
+                next_chase += period;
+            }
+            f(idx, word, chase);
+            // phase_word < codeWords_, so a wrapped offset restarts
+            // the loop at phase_word itself.
+            if (++offset == loop_len) {
+                offset = 0;
+                word = phase_word;
+            } else if (++word == codeWords_) {
+                word = 0;
+            }
+        }
         n -= take;
     }
+}
+
+namespace {
+
+/** The fields fill() derives for a walk record. */
+struct WalkFields {
+    Addr pc = 0;
+    Addr effAddr = 0;
+    Addr target = 0;
+    OpClass op = OpClass::IntAlu;
+    bool taken = false;
+};
+
+} // namespace
+
+void
+TraceGenerator::scanOps(InstSeq first, std::size_t n, MicroOp *out) const
+{
+    const std::uint32_t *slots = slotTable();
+    scan(first, n, [&](InstSeq idx, std::uint64_t word, std::uint64_t chase) {
+        MicroOp &op = *out++;
+        op = MicroOp{};
+        op.seq = idx;
+        fill(slots, idx, word, chase, op);
+    });
 }
 
 void
 TraceGenerator::scanPcs(InstSeq first, std::size_t n, Addr *out) const
 {
-    scan(first, n, [&](InstSeq, std::uint64_t word) {
+    scan(first, n, [&](InstSeq, std::uint64_t word, std::uint64_t) {
         *out++ = pcOf(word);
     });
 }
 
 void
-TraceGenerator::scanWalk(InstSeq first, std::size_t n, WalkOp *out) const
+TraceGenerator::scanWalk(InstSeq first, std::size_t n, WalkRecord *out,
+                         std::size_t stride) const
 {
     const std::uint32_t *slots = slotTable();
-    scan(first, n, [&](InstSeq idx, std::uint64_t word) {
-        WalkOp &w = *out++;
-        w = WalkOp{};
-        fill(slots, idx, word, chaseOf(idx), w);
+    scan(first, n, [&](InstSeq idx, std::uint64_t word, std::uint64_t chase) {
+        WalkFields w;
+        fill(slots, idx, word, chase, w);
+        *out = walkRecordOf(w);
+        out += stride;
     });
 }
 

@@ -38,8 +38,8 @@ namespace rat::trace {
  * Synthesizes the dynamic micro-op stream of one program instance.
  *
  * Thread-safe for concurrent `at()` and scan calls. The only mutable
- * state is the static code-slot table, which the first `at()` or
- * `scanWalk()` builds for the whole code footprint under
+ * state is the static code-slot table, which the first `at()`,
+ * `scanOps()` or `scanWalk()` builds for the whole code footprint under
  * `std::call_once`; later calls see it through an acquire load of the
  * ready flag. The table is a pure function of (profile, seed), so who
  * builds it cannot change a result. Not copyable or movable (hold it
@@ -62,18 +62,18 @@ class TraceGenerator : public TraceSource
     /** Generate the micro-op at dynamic index @p idx. Pure. */
     MicroOp at(InstSeq idx) const override;
 
-    /**
-     * The PCs alone: one phase-entry draw per phase covered, no slot
-     * table, no per-index draws.
-     */
+    /** Every field of a range: at() without its per-index divisions. */
+    void scanOps(InstSeq first, std::size_t n, MicroOp *out) const override;
+
+    /** The PCs alone: no slot table, no per-index draws. */
     void scanPcs(InstSeq first, std::size_t n, Addr *out) const override;
 
     /**
-     * The walk fields: at() without the dependence draws and the
-     * register rotation, one phase-entry draw per phase covered.
+     * The walk records: at() without the dependence draws and the
+     * register rotation.
      */
-    void scanWalk(InstSeq first, std::size_t n,
-                  WalkOp *out) const override;
+    void scanWalk(InstSeq first, std::size_t n, WalkRecord *out,
+                  std::size_t stride) const override;
 
     /** The profile this stream was built from. */
     const BenchmarkProfile &profile() const { return *profile_; }
@@ -104,17 +104,21 @@ class TraceGenerator : public TraceSource
 
     /**
      * Fill @p op with instruction @p idx at code word @p word, whose
-     * chase number is @p chase (chaseOf(idx)): the walk fields, and
-     * the registers too when Op is a MicroOp. The one derivation of
-     * every field, for at() (Op = MicroOp) and scanWalk() (WalkOp).
+     * chase number is @p chase (chaseOf(idx)): the walk fields (pc,
+     * op, effAddr, taken, target), and the registers too when Op is a
+     * MicroOp. The one derivation of every field, for at() and
+     * scanOps() (Op = MicroOp) and scanWalk().
      */
     template <class Op>
     void fill(const std::uint32_t *slots, InstSeq idx, std::uint64_t word,
               std::uint64_t chase, Op &op) const;
 
     /**
-     * Call f(idx, word) for each index of [first, first + n) in order,
-     * drawing each phase's entry word once.
+     * Call f(idx, word, chase) for each index of [first, first + n) in
+     * order, with idx's code word and chase number. Each phase's entry
+     * word is drawn once, and the inner-loop offset, the code word and
+     * the next chase index step with idx: one division per phase
+     * instead of four per index.
      */
     template <class F>
     void scan(InstSeq first, std::size_t n, F &&f) const;

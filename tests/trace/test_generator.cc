@@ -116,28 +116,18 @@ TEST(Generator, StreamMatchesGolden)
 
 /** Fold every field of @p w into @p h. */
 void
-hashWalkOp(check::Fnv64 &h, const WalkOp &w)
+hashWalkRecord(check::Fnv64 &h, const WalkRecord &w)
 {
     h.u64(w.pc);
-    h.u64(w.effAddr);
-    h.u64(w.target);
-    h.u64(static_cast<std::uint64_t>(w.op));
-    h.b(w.taken);
-}
-
-/** The walk fields of at(@p idx). */
-WalkOp
-walkOfAt(const TraceSource &src, InstSeq idx)
-{
-    const MicroOp op = src.at(idx);
-    return WalkOp{op.pc, op.effAddr, op.target, op.op, op.taken};
+    h.u64(w.address);
+    h.u64(w.flags);
 }
 
 /** How rangeDigest reads a range. */
 enum class Read {
     At,       ///< every MicroOp field of at()
-    AtWalk,   ///< the walk fields of at()
-    ScanWalk, ///< the walk fields of scanWalk()
+    AtWalk,   ///< the walk record of at()
+    ScanWalk, ///< the walk records of scanWalk()
 };
 
 /** Digest of [lo, hi) of @p src, read as @p read says. */
@@ -146,16 +136,16 @@ rangeDigest(const TraceSource &src, InstSeq lo, InstSeq hi, Read read)
 {
     check::Fnv64 h;
     if (read == Read::ScanWalk) {
-        std::vector<WalkOp> ops(hi - lo);
-        src.scanWalk(lo, ops.size(), ops.data());
-        for (const WalkOp &w : ops)
-            hashWalkOp(h, w);
+        std::vector<WalkRecord> recs(hi - lo);
+        src.scanWalk(lo, recs.size(), recs.data(), 1);
+        for (const WalkRecord &w : recs)
+            hashWalkRecord(h, w);
     } else {
         for (InstSeq i = lo; i < hi; ++i) {
             if (read == Read::At)
                 hashOp(h, src.at(i));
             else
-                hashWalkOp(h, walkOfAt(src, i));
+                hashWalkRecord(h, walkRecordOf(src.at(i)));
         }
     }
     return h.value();
@@ -229,20 +219,51 @@ void
 expectScansMatchAt(const TraceSource &src, const TraceSource &ref,
                    InstSeq lo, InstSeq hi, const std::string &label)
 {
+    // The walk records go to every third slot, as the walk interleaves
+    // three threads; the slots between must stay untouched.
+    constexpr std::size_t kStride = 3;
     const std::size_t n = hi - lo;
     std::vector<Addr> pcs(n);
-    std::vector<WalkOp> ops(n);
+    std::vector<WalkRecord> recs(n * kStride);
+    for (WalkRecord &r : recs)
+        r.pc = 0xdead;
     src.scanPcs(lo, n, pcs.data());
-    src.scanWalk(lo, n, ops.data());
+    src.scanWalk(lo, n, recs.data(), kStride);
     for (std::size_t i = 0; i < n; ++i) {
         const MicroOp op = ref.at(lo + i);
-        ASSERT_EQ(pcs[i], op.pc) << label << " index " << lo + i;
-        ASSERT_EQ(ops[i].pc, op.pc) << label << " index " << lo + i;
-        ASSERT_EQ(ops[i].op, op.op) << label << " index " << lo + i;
-        ASSERT_EQ(ops[i].effAddr, op.effAddr)
-            << label << " index " << lo + i;
-        ASSERT_EQ(ops[i].taken, op.taken) << label << " index " << lo + i;
-        ASSERT_EQ(ops[i].target, op.target)
+        const WalkRecord &r = recs[i * kStride];
+        const std::string where = label + " index " + std::to_string(lo + i);
+        ASSERT_EQ(pcs[i], op.pc) << where;
+        ASSERT_EQ(r.pc, op.pc) << where;
+        // The record's fields, derived from at()'s by hand.
+        const bool mem = isMemOp(op.op);
+        const bool cond = op.op == OpClass::Branch;
+        const bool btb = (cond || op.op == OpClass::Call) && op.taken;
+        ASSERT_EQ(r.address, mem ? op.effAddr : btb ? op.target : 0)
+            << where;
+        ASSERT_EQ((r.flags & kWalkMemOp) != 0, mem) << where;
+        ASSERT_EQ((r.flags & kWalkCondBranch) != 0, cond) << where;
+        ASSERT_EQ((r.flags & kWalkTaken) != 0, cond && op.taken) << where;
+        ASSERT_EQ((r.flags & kWalkBtbUpdate) != 0, btb) << where;
+        ASSERT_EQ(r.flags & ~0xF, 0) << where;
+        for (std::size_t k = 1; k < kStride; ++k)
+            ASSERT_EQ(recs[i * kStride + k].pc, 0xdeadu) << where;
+    }
+}
+
+/** Expect @p src's scanOps of [lo, hi) to equal @p ref's at(). */
+void
+expectOpsMatchAt(const TraceSource &src, const TraceSource &ref,
+                 InstSeq lo, InstSeq hi, const std::string &label)
+{
+    std::vector<MicroOp> ops(hi - lo);
+    src.scanOps(lo, ops.size(), ops.data());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        check::Fnv64 got;
+        check::Fnv64 want;
+        hashOp(got, ops[i]);
+        hashOp(want, ref.at(lo + i));
+        ASSERT_EQ(got.value(), want.value())
             << label << " index " << lo + i;
     }
 }
@@ -259,6 +280,23 @@ TEST(Generator, ScansMatchAt)
             for (const auto &[lo, hi] : scanRanges(p)) {
                 expectScansMatchAt(gen, gen, lo, hi,
                                    name + " seed " + std::to_string(seed));
+            }
+        }
+    }
+}
+
+TEST(Generator, ScanOpsMatchAt)
+{
+    // scanOps steps the loop offset, the code word and the chase index
+    // instead of dividing per index; every MicroOp field must still
+    // equal at()'s.
+    for (const std::string &name : spec2000Names()) {
+        const BenchmarkProfile &p = spec2000(name);
+        for (const std::uint64_t seed : {1u, 7u}) {
+            const TraceGenerator gen(p, seed, kBase);
+            for (const auto &[lo, hi] : scanRanges(p)) {
+                expectOpsMatchAt(gen, gen, lo, hi,
+                                 name + " seed " + std::to_string(seed));
             }
         }
     }
@@ -283,8 +321,10 @@ TEST(Generator, DefaultScansMatchAt)
     const BenchmarkProfile &p = spec2000("mcf");
     const TraceGenerator gen(p, 3, kBase);
     const AtOnlySource src(gen);
-    for (const auto &[lo, hi] : scanRanges(p))
+    for (const auto &[lo, hi] : scanRanges(p)) {
         expectScansMatchAt(src, gen, lo, hi, "at()-only mcf");
+        expectOpsMatchAt(src, gen, lo, hi, "at()-only mcf");
+    }
 }
 
 TEST(Generator, RefusesCodeBeyondTheSlotTable)
