@@ -18,10 +18,11 @@ main()
            "of FP work in runahead, since effective addresses only need "
            "the integer pipeline");
 
-    sim::TechniqueSpec no_drop = sim::ratSpec();
+    sim::TechniqueSpec no_drop = sim::techniqueOf(core::PolicyKind::Rat);
     no_drop.label = "RaT-execFP";
     no_drop.rat.dropFpInRunahead = false;
-    const auto grid = runGrid(benchSpec({sim::ratSpec(), no_drop}));
+    const auto grid = runGrid(
+        benchSpec({sim::techniqueOf(core::PolicyKind::Rat), no_drop}));
 
     std::printf("\n%-8s %14s %14s %10s\n", "group", "RaT(drop FP)",
                 "RaT(exec FP)", "delta(%)");

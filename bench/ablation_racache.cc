@@ -17,10 +17,11 @@ main()
            "difference should be insignificant (the paper omits the "
            "runahead cache from RaT based on this result)");
 
-    sim::TechniqueSpec with_rc = sim::ratSpec();
+    sim::TechniqueSpec with_rc = sim::techniqueOf(core::PolicyKind::Rat);
     with_rc.label = "RaT+RAcache";
     with_rc.rat.useRunaheadCache = true;
-    const auto grid = runGrid(benchSpec({sim::ratSpec(), with_rc}));
+    const auto grid = runGrid(
+        benchSpec({sim::techniqueOf(core::PolicyKind::Rat), with_rc}));
 
     std::printf("\n%-8s %14s %14s %10s\n", "group", "RaT", "RaT+RAcache",
                 "delta(%)");

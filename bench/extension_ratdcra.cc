@@ -14,17 +14,16 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Extension — RaT + DCRA hybrid (Section 5.2 future work)",
            "the hybrid should track plain RaT closely; any gain shows up "
            "where speculative runahead work would otherwise crowd out "
            "normal threads");
 
-    const sim::TechniqueSpec hybrid{"RaT+DCRA",
-                                    core::PolicyKind::RatDcra,
-                                    core::RatConfig{}};
-    const auto grid =
-        runGrid(benchSpec({sim::dcraSpec(), sim::ratSpec(), hybrid}));
+    const auto grid = runGrid(benchSpec(
+        {sim::techniqueOf(PolicyKind::Dcra), sim::techniqueOf(PolicyKind::Rat),
+         sim::techniqueOf(PolicyKind::RatDcra)}));
 
     std::printf("\n%-8s %12s %12s %12s %10s\n", "group", "DCRA", "RaT",
                 "RaT+DCRA", "vs RaT");

@@ -12,14 +12,17 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Figure 1 — I-fetch policies vs RaT (throughput & fairness)",
            "FLUSH > STALL > ICOUNT on MEM; RaT clearly ahead of all, "
            "biggest gap on MEM2/MEM4 (~+83%/+70% vs FLUSH in the paper)");
 
     const std::vector<sim::TechniqueSpec> lineup = {
-        sim::icountSpec(), sim::stallSpec(), sim::flushSpec(),
-        sim::ratSpec()};
+        sim::techniqueOf(PolicyKind::Icount),
+        sim::techniqueOf(PolicyKind::Stall),
+        sim::techniqueOf(PolicyKind::Flush),
+        sim::techniqueOf(PolicyKind::Rat)};
     std::vector<std::string> labels;
     for (const auto &t : lineup)
         labels.push_back(t.label);

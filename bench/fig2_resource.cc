@@ -12,6 +12,7 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Figure 2 — resource-control policies vs RaT",
            "DCRA >= HillClimbing on ILP, HillClimbing > DCRA on MIX; "
@@ -19,8 +20,10 @@ main()
            "DCRA/HillClimbing in the paper)");
 
     const std::vector<sim::TechniqueSpec> lineup = {
-        sim::icountSpec(), sim::dcraSpec(), sim::hillClimbingSpec(),
-        sim::ratSpec()};
+        sim::techniqueOf(PolicyKind::Icount),
+        sim::techniqueOf(PolicyKind::Dcra),
+        sim::techniqueOf(PolicyKind::HillClimbing),
+        sim::techniqueOf(PolicyKind::Rat)};
     std::vector<std::string> labels;
     for (const auto &t : lineup)
         labels.push_back(t.label);

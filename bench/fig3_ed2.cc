@@ -12,6 +12,7 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Figure 3 — Energy-Delay^2 normalized to ICOUNT",
            "RaT < 1.0 on average (~0.6 for 2-thread, ~0.78 for 4-thread "
@@ -20,8 +21,12 @@ main()
 
     // ICOUNT first: every other column is normalized to it.
     const std::vector<sim::TechniqueSpec> lineup = {
-        sim::icountSpec(), sim::stallSpec(), sim::flushSpec(),
-        sim::dcraSpec(), sim::hillClimbingSpec(), sim::ratSpec()};
+        sim::techniqueOf(PolicyKind::Icount),
+        sim::techniqueOf(PolicyKind::Stall),
+        sim::techniqueOf(PolicyKind::Flush),
+        sim::techniqueOf(PolicyKind::Dcra),
+        sim::techniqueOf(PolicyKind::HillClimbing),
+        sim::techniqueOf(PolicyKind::Rat)};
     std::vector<std::string> labels;
     for (std::size_t t = 1; t < lineup.size(); ++t)
         labels.push_back(lineup[t].label);

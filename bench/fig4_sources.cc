@@ -51,22 +51,24 @@ int
 main()
 {
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Figure 4 — sources of RaT improvement",
            "prefetching dominates (~58% avg, most on MIX/MEM ~56%/109%); "
            "resource availability small (~3% avg, ~22% on MIX); "
            "co-runner overhead negligible (~4%)");
 
-    sim::TechniqueSpec rat_nopf = sim::ratSpec();
+    sim::TechniqueSpec rat_nopf = sim::techniqueOf(PolicyKind::Rat);
     rat_nopf.label = "RaT-noPF";
     rat_nopf.rat.disablePrefetch = true;
 
-    sim::TechniqueSpec rat_nofetch = sim::ratSpec();
+    sim::TechniqueSpec rat_nofetch = sim::techniqueOf(PolicyKind::Rat);
     rat_nofetch.label = "RaT-noFetch";
     rat_nofetch.rat.noFetchInRunahead = true;
 
     const auto grid = runGrid(benchSpec(
-        {sim::stallSpec(), sim::ratSpec(), rat_nopf, rat_nofetch}));
+        {sim::techniqueOf(PolicyKind::Stall), sim::techniqueOf(PolicyKind::Rat),
+         rat_nopf, rat_nofetch}));
 
     std::printf("\n%-8s %14s %18s %16s\n", "group", "prefetch(%)",
                 "resource-avail(%)", "overhead(%)");

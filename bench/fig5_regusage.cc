@@ -17,7 +17,8 @@ main()
            "runahead mode holds markedly fewer registers; on MEM "
            "workloads less than half of normal mode");
 
-    const auto grid = runGrid(benchSpec({sim::ratSpec()}));
+    const auto grid =
+        runGrid(benchSpec({sim::techniqueOf(core::PolicyKind::Rat)}));
 
     std::printf("\n%-8s %14s %16s %10s\n", "group", "normal-mode",
                 "runahead-mode", "ratio");

@@ -12,6 +12,7 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Figure 6 — throughput vs register-file size (FLUSH vs RaT)",
            "throughput falls as registers shrink, but far less with RaT;"
@@ -40,8 +41,10 @@ main()
         sim::SimConfig cfg = benchConfig();
         cfg.core.intRegs = size;
         cfg.core.fpRegs = size;
-        const auto grid =
-            runGrid(benchSpec({sim::flushSpec(), sim::ratSpec()}, cfg));
+        const auto grid = runGrid(
+            benchSpec({sim::techniqueOf(PolicyKind::Flush),
+                       sim::techniqueOf(PolicyKind::Rat)},
+                      cfg));
         for (std::size_t g = 0; g < group_order.size(); ++g) {
             rows[group_order[g]].push_back(grid[0][g].meanThroughput);
             rat_cols[group_order[g]].push_back(grid[1][g].meanThroughput);

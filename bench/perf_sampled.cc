@@ -174,7 +174,7 @@ main()
 
             SweepRow row;
             row.label =
-                mixName + " / " + core::policyName(policy);
+                mixName + " / " + policy::policyKindName(policy);
             row.fullHmean = sim::hmeanIpc(fr);
             row.sampledHmean = sim::hmeanIpc(sr);
             row.errorPct =

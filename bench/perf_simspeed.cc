@@ -36,6 +36,7 @@
 
 #include "bench_util.hh"
 #include "common/logging.hh"
+#include "policy/factory.hh"
 #include "report/serialize.hh"
 #include "sim/simulator.hh"
 
@@ -191,7 +192,7 @@ main()
             const ModeSample skipped = timeOne(base, w, policy, true);
             if (skipped.resultJson != ticked.resultJson) {
                 fatal("cycle skipping diverged on '%s' under %s",
-                      w.name.c_str(), core::policyName(policy));
+                      w.name.c_str(), policy::policyKindName(policy));
             }
             const double speedup =
                 ticked.mips > 0.0 ? skipped.mips / ticked.mips : 0.0;
@@ -210,13 +211,13 @@ main()
             committed += skipped.committed;
             if (speedup > best_speedup) {
                 best_speedup = speedup;
-                best_cell = std::string(core::policyName(policy)) + " " +
+                best_cell = std::string(policy::policyKindName(policy)) + " " +
                             w.name;
             }
         }
 
         const std::string title =
-            std::string("MEM2 under ") + core::policyName(policy) +
+            std::string("MEM2 under ") + policy::policyKindName(policy) +
             ": cycle skipping vs ticking";
         bench::printGroupTable(title.c_str(), skip_labels, rows, order);
         bench_report.addGroupTable(title.c_str(), skip_labels, rows,
@@ -232,15 +233,15 @@ main()
                 : 0.0;
         bench_report.addHeadline(
             std::string("simulated MIPS, MEM2 sweep total, ticked (") +
-                core::policyName(policy) + ")",
+                policy::policyKindName(policy) + ")",
             tick_mips);
         bench_report.addHeadline(
             std::string("simulated MIPS, MEM2 sweep total, skipping (") +
-                core::policyName(policy) + ")",
+                policy::policyKindName(policy) + ")",
             skip_mips);
         std::printf("MEM2 %s sweep: ticked %.3f MIPS -> skipping %.3f "
                     "MIPS (%.2fx)\n\n",
-                    core::policyName(policy), tick_mips, skip_mips,
+                    policy::policyKindName(policy), tick_mips, skip_mips,
                     tick_mips > 0.0 ? skip_mips / tick_mips : 0.0);
     }
 

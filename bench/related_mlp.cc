@@ -14,16 +14,17 @@ main()
 {
     using namespace rat;
     using namespace rat::bench;
+    using core::PolicyKind;
 
     banner("Related work — MLP-aware fetch policy [15] vs RaT",
            "MLP-aware sits between STALL and RaT; RaT wins most where "
            "MLP extends beyond the bounded window (streaming MEM "
            "workloads)");
 
-    const sim::TechniqueSpec mlp{"MLP", core::PolicyKind::MlpAware,
-                                 core::RatConfig{}};
-    const auto grid =
-        runGrid(benchSpec({sim::stallSpec(), mlp, sim::ratSpec()}));
+    const auto grid = runGrid(benchSpec(
+        {sim::techniqueOf(PolicyKind::Stall),
+         sim::techniqueOf(PolicyKind::MlpAware),
+         sim::techniqueOf(PolicyKind::Rat)}));
 
     std::printf("\n%-8s %12s %12s %12s %12s\n", "group", "STALL", "MLP",
                 "RaT", "RaT vs MLP");

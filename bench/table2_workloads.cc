@@ -32,8 +32,10 @@ main()
     // paper's methodology for building Table 2: the single-thread
     // baselines of the Table 2 groups, in allPrograms() order.
     std::map<std::string, sim::ThreadResult> single;
-    for (const sim::CampaignCell &cell : sim::runCampaign(
-             sim::baselineSpec(benchSpec({sim::icountSpec()}))).cells)
+    for (const sim::CampaignCell &cell :
+         sim::runCampaign(sim::baselineSpec(benchSpec(
+                              {sim::techniqueOf(core::PolicyKind::Icount)})))
+             .cells)
         single.emplace(cell.programs.front(), cell.result.threads.at(0));
     for (const std::string &prog : sim::allPrograms()) {
         const sim::ThreadResult &t = single.at(prog);

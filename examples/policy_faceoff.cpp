@@ -40,11 +40,11 @@ main(int argc, char **argv)
     sim::CampaignSpec spec;
     spec.base.warmupCycles = 20000;
     spec.base.measureCycles = 100000;
-    spec.techniques = {
-        sim::icountSpec(),       sim::stallSpec(), sim::flushSpec(),
-        sim::dcraSpec(),         sim::hillClimbingSpec(),
-        sim::ratSpec(),
-    };
+    using core::PolicyKind;
+    for (const PolicyKind kind :
+         {PolicyKind::Icount, PolicyKind::Stall, PolicyKind::Flush,
+          PolicyKind::Dcra, PolicyKind::HillClimbing, PolicyKind::Rat})
+        spec.techniques.push_back(sim::techniqueOf(kind));
     spec.workloads = {sim::Workload::fromPrograms(programs)};
     const sim::BaselineIpcMap base =
         sim::baselineIpcs(sim::runCampaign(sim::baselineSpec(spec)));

@@ -55,9 +55,10 @@ main()
 
     // 5. Compare against the ICOUNT baseline: the same config with
     //    the ICOUNT technique applied.
+    const sim::TechniqueSpec icount =
+        sim::techniqueOf(core::PolicyKind::Icount);
     const double base = sim::throughput(
-        sim::Simulator(sim::configFor(cfg, sim::icountSpec(), 2),
-                       {"art", "gzip"})
+        sim::Simulator(sim::configFor(cfg, icount, 2), {"art", "gzip"})
             .run());
     const double rat = result.throughputEq1();
     std::printf("\nICOUNT baseline throughput:    %.3f\n", base);

@@ -36,7 +36,8 @@ main(int argc, char **argv)
     sim::CampaignSpec spec;
     spec.base.warmupCycles = 15000;
     spec.base.measureCycles = 60000;
-    spec.techniques = {sim::flushSpec(), sim::ratSpec()};
+    spec.techniques = {sim::techniqueOf(core::PolicyKind::Flush),
+                       sim::techniqueOf(core::PolicyKind::Rat)};
     spec.workloads = {sim::Workload::fromPrograms(programs)};
     spec.regsAxis = {64, 128, 192, 256, 320};
     const sim::CampaignOutcome outcome = sim::runCampaign(spec);

@@ -225,7 +225,7 @@ DigestCollector::sampleAt(const core::SmtCore &core)
     track_.samples.push_back(s);
     if (nextAt_ == captureAt_)
         capturedDump_ = StateHasher::describe(core);
-    nextAt_ += window_;
+    nextAt_ = cycleAfter(nextAt_, window_);
 }
 
 } // namespace rat::check

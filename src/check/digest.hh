@@ -79,13 +79,13 @@ class DigestCollector
     void
     reset(Cycle start)
     {
-        nextAt_ = window_ ? start + window_ : kNoCycle;
+        nextAt_ = window_ ? cycleAfter(start, window_) : kNoCycle;
         track_ = obs::DigestTrack{};
         track_.window = window_;
         capturedDump_.clear();
     }
 
-    /** The next boundary at which a digest is due (kNoCycle if off). */
+    /** The next boundary at which a digest is due (kNoCycle: never). */
     Cycle nextAt() const { return nextAt_; }
 
     /** Digest the core for the window ending at nextAt(). */

@@ -150,9 +150,8 @@ runVerify(const VerifyOptions &options)
 
     std::vector<runahead::RaVariant> variants;
     if (core::runaheadEnabled(options.base.core.policy)) {
-        variants = {runahead::RaVariant::Classic,
-                    runahead::RaVariant::Capped,
-                    runahead::RaVariant::UselessFilter};
+        for (const auto &row : runahead::kRaVariants)
+            variants.push_back(row.value);
     } else {
         variants = {options.base.core.rat.variant};
     }

@@ -36,6 +36,13 @@ using InstSeq = std::uint64_t;
 /** Sentinel for "no cycle" / "not scheduled". */
 inline constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 
+/** @p n cycles after @p at, saturating at kNoCycle instead of wrapping. */
+constexpr Cycle
+cycleAfter(Cycle at, Cycle n)
+{
+    return n < kNoCycle - at ? at + n : kNoCycle;
+}
+
 /** Sentinel for an unmapped / invalid physical register. */
 inline constexpr PhysReg kNoPhysReg = std::numeric_limits<PhysReg>::max();
 

@@ -9,6 +9,7 @@
 #define RAT_CORE_CONFIG_HH
 
 #include "branch/perceptron.hh"
+#include "common/names.hh"
 #include "common/types.hh"
 #include "runahead/variant.hh"
 
@@ -26,8 +27,13 @@ enum class CheckLevel : std::uint8_t {
     Full,
 };
 
-/** Canonical check-level name ("off" / "sampled" / "full"). */
-const char *checkLevelName(CheckLevel level);
+/** Every check level, in declaration order, as `--check-level` spells it. */
+inline constexpr NameRow<CheckLevel> kCheckLevels[] = {
+    {CheckLevel::Off, "off"},
+    {CheckLevel::Sampled, "sampled"},
+    {CheckLevel::Full, "full"},
+};
+static_assert(coversInOrder(kCheckLevels, CheckLevel::Full));
 
 /** Which long-latency-load handling scheme the core runs. */
 enum class PolicyKind : std::uint8_t {
@@ -51,9 +57,6 @@ enum class PolicyKind : std::uint8_t {
      */
     MlpAware,
 };
-
-/** Human-readable policy name. */
-const char *policyName(PolicyKind kind);
 
 /** True when the policy kind runs the runahead mechanism in the core. */
 constexpr bool

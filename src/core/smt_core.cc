@@ -1,7 +1,6 @@
 #include "core/smt_core.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 
 #include "check/auditor.hh"
@@ -9,46 +8,6 @@
 #include "common/logging.hh"
 
 namespace rat::core {
-
-const char *
-checkLevelName(CheckLevel level)
-{
-    switch (level) {
-      case CheckLevel::Off:
-        return "off";
-      case CheckLevel::Sampled:
-        return "sampled";
-      case CheckLevel::Full:
-        return "full";
-    }
-    return "?";
-}
-
-const char *
-policyName(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::RoundRobin:
-        return "RR";
-      case PolicyKind::Icount:
-        return "ICOUNT";
-      case PolicyKind::Stall:
-        return "STALL";
-      case PolicyKind::Flush:
-        return "FLUSH";
-      case PolicyKind::Dcra:
-        return "DCRA";
-      case PolicyKind::HillClimbing:
-        return "HillClimbing";
-      case PolicyKind::Rat:
-        return "RaT";
-      case PolicyKind::RatDcra:
-        return "RaT+DCRA";
-      case PolicyKind::MlpAware:
-        return "MLP";
-    }
-    return "?";
-}
 
 SmtCore::SmtCore(const CoreConfig &config, mem::MemoryHierarchy &mem,
                  SchedulingPolicy &policy,
@@ -810,38 +769,6 @@ SmtCore::exitRunahead(ThreadId tid)
     t.nextSeq = out.resumeSeq;
     t.lastFetchLine = ~Addr{0};
     t.fetchBlockedUntil = cycle_ + config_.mispredictRedirect;
-}
-
-void
-SmtCore::dumpThreadHead(ThreadId tid) const
-{
-    const ThreadState &t = threads_[tid];
-    if (rob_.empty(tid)) {
-        std::fprintf(stderr,
-                     "[t%u] ROB empty; nextSeq=%llu blockedUntil=%llu "
-                     "waitingBranch=%d fetchQ=%u\n",
-                     tid, static_cast<unsigned long long>(t.nextSeq),
-                     static_cast<unsigned long long>(t.fetchBlockedUntil),
-                     t.waitingBranch, t.fetchQueue.size());
-        return;
-    }
-    const DynInst *h = rob_.head(tid);
-    std::fprintf(
-        stderr,
-        "[t%u] head seq=%llu op=%u status=%u inv=%d memIssued=%d "
-        "longLat=%d depStore=%llu completeAt=%llu srcs=[",
-        tid, static_cast<unsigned long long>(h->op.seq),
-        static_cast<unsigned>(h->op.op),
-        static_cast<unsigned>(h->status), h->inv, h->memIssued,
-        h->longLatency,
-        static_cast<unsigned long long>(h->depStoreUid),
-        static_cast<unsigned long long>(h->completeAt));
-    for (unsigned i = 0; i < h->numSrcs; ++i) {
-        std::fprintf(stderr, "%u:%u ", static_cast<unsigned>(h->srcTag[i]),
-                     static_cast<unsigned>(h->srcState[i]));
-    }
-    std::fprintf(stderr, "] cycle=%llu\n",
-                 static_cast<unsigned long long>(cycle_));
 }
 
 // ---------------------------------------------------------------------------

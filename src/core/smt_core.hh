@@ -259,12 +259,6 @@ class SmtCore
      */
     void armMutationAt(Cycle at) { mutateAt_ = at; }
 
-    /**
-     * Print a one-line diagnostic description of a thread's ROB head to
-     * stderr (debugging aid; stable API for tooling and tests).
-     */
-    void dumpThreadHead(ThreadId tid) const;
-
     // --- actions available to policies ------------------------------------
 
     /**

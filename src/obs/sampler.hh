@@ -171,14 +171,14 @@ class WindowSampler
     void
     reset(Cycle start)
     {
-        nextAt_ = window_ ? start + window_ : kNoCycle;
+        nextAt_ = window_ ? cycleAfter(start, window_) : kNoCycle;
         prevCommitted_ = prevExecuted_ = prevRaExecuted_ = 0;
         result_ = TelemetryResult{};
         result_.enabled = window_ != 0;
         result_.window = window_;
     }
 
-    /** The next cycle at which a sample is due (kNoCycle when off). */
+    /** The next cycle at which a sample is due (kNoCycle: never). */
     Cycle nextAt() const { return nextAt_; }
 
     /**
@@ -203,7 +203,7 @@ class WindowSampler
         prevCommitted_ = committed;
         prevExecuted_ = executed;
         prevRaExecuted_ = ra_executed;
-        nextAt_ += window_;
+        nextAt_ = cycleAfter(nextAt_, window_);
     }
 
     void noteEpisode(std::uint64_t cycles)

@@ -8,10 +8,33 @@
 
 namespace rat::policy {
 
+namespace {
+
+using core::PolicyKind;
+
+/**
+ * Every technique, in PolicyKind order: its canonical `--policy`
+ * spelling (also its report and cache-key name) and the shell-friendly
+ * alias the CLI accepts.
+ */
+constexpr NameRow<PolicyKind> kPolicyKinds[] = {
+    {PolicyKind::RoundRobin, "RR"},
+    {PolicyKind::Icount, "ICOUNT"},
+    {PolicyKind::Stall, "STALL"},
+    {PolicyKind::Flush, "FLUSH"},
+    {PolicyKind::Dcra, "DCRA"},
+    {PolicyKind::HillClimbing, "HillClimbing", "HC"},
+    {PolicyKind::Rat, "RaT", "RAT"},
+    {PolicyKind::RatDcra, "RaT+DCRA", "RATDCRA"},
+    {PolicyKind::MlpAware, "MLP"},
+};
+static_assert(coversInOrder(kPolicyKinds, PolicyKind::MlpAware));
+
+} // namespace
+
 std::unique_ptr<core::SchedulingPolicy>
-makePolicy(core::PolicyKind kind)
+makePolicy(PolicyKind kind)
 {
-    using core::PolicyKind;
     switch (kind) {
       case PolicyKind::RoundRobin:
         return std::make_unique<RoundRobinPolicy>();
@@ -39,45 +62,21 @@ makePolicy(core::PolicyKind kind)
 std::optional<core::PolicyKind>
 parsePolicyKind(const std::string &name)
 {
-    using core::PolicyKind;
-    if (name == "RR")
-        return PolicyKind::RoundRobin;
-    if (name == "ICOUNT")
-        return PolicyKind::Icount;
-    if (name == "STALL")
-        return PolicyKind::Stall;
-    if (name == "FLUSH")
-        return PolicyKind::Flush;
-    if (name == "DCRA")
-        return PolicyKind::Dcra;
-    if (name == "HillClimbing" || name == "HC")
-        return PolicyKind::HillClimbing;
-    if (name == "RaT" || name == "RAT")
-        return PolicyKind::Rat;
-    if (name == "RaT+DCRA" || name == "RATDCRA")
-        return PolicyKind::RatDcra;
-    if (name == "MLP")
-        return PolicyKind::MlpAware;
-    return std::nullopt;
+    return parseName(kPolicyKinds, name);
 }
 
 const char *
 policyKindName(core::PolicyKind kind)
 {
-    // The canonical CLI spellings are exactly the core's display names.
-    return core::policyName(kind);
+    return nameOf(kPolicyKinds, kind);
 }
 
 std::vector<std::string>
 policyKindNames()
 {
-    using core::PolicyKind;
     std::vector<std::string> names;
-    for (const PolicyKind kind :
-         {PolicyKind::RoundRobin, PolicyKind::Icount, PolicyKind::Stall,
-          PolicyKind::Flush, PolicyKind::Dcra, PolicyKind::HillClimbing,
-          PolicyKind::Rat, PolicyKind::RatDcra, PolicyKind::MlpAware})
-        names.emplace_back(policyKindName(kind));
+    for (const auto &row : kPolicyKinds)
+        names.emplace_back(row.name);
     return names;
 }
 

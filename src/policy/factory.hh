@@ -1,6 +1,7 @@
 /**
  * @file
- * Factory mapping a PolicyKind to a concrete scheduling-policy object.
+ * Factory mapping a PolicyKind to a concrete scheduling-policy object,
+ * and the techniques' names (one table in factory.cc).
  *
  * Note that Runahead Threads is not itself a fetch policy: RaT runs on
  * top of plain ICOUNT priority (the core performs the mode switching),
@@ -24,9 +25,8 @@ namespace rat::policy {
 std::unique_ptr<core::SchedulingPolicy> makePolicy(core::PolicyKind kind);
 
 /**
- * Parse a technique name as accepted by `ratsim --policy` (ICOUNT,
- * STALL, FLUSH, DCRA, HillClimbing/HC, RaT/RAT, RaT+DCRA/RATDCRA, MLP,
- * RR). Returns std::nullopt for unknown names.
+ * Parse a technique name or alias as accepted by `ratsim --policy`.
+ * Returns std::nullopt for unknown names.
  */
 std::optional<core::PolicyKind> parsePolicyKind(const std::string &name);
 

@@ -558,8 +558,9 @@ class Parser
         return Json(d);
     }
 
+    /** The value at pos_, inside @p depth containers. */
     std::optional<Json>
-    parseValue()
+    parseValue(unsigned depth = 0)
     {
         skipWs();
         if (pos_ >= text_.size()) {
@@ -567,6 +568,10 @@ class Parser
             return std::nullopt;
         }
         const char c = text_[pos_];
+        if ((c == '{' || c == '[') && depth == Json::kMaxDepth) {
+            fail("containers nested deeper than 64");
+            return std::nullopt;
+        }
         if (c == '{') {
             ++pos_;
             Json obj = Json::object();
@@ -583,7 +588,7 @@ class Parser
                     fail("expected ':' in object");
                     return std::nullopt;
                 }
-                auto value = parseValue();
+                auto value = parseValue(depth + 1);
                 if (!value)
                     return std::nullopt;
                 obj[*key] = std::move(*value);
@@ -603,7 +608,7 @@ class Parser
             if (consume(']'))
                 return arr;
             for (;;) {
-                auto value = parseValue();
+                auto value = parseValue(depth + 1);
                 if (!value)
                     return std::nullopt;
                 arr.push(std::move(*value));

@@ -111,8 +111,16 @@ class Json
     std::string dump(unsigned indent = 0) const;
 
     /**
+     * Containers a parsed document may nest (ratsim's reports nest 7).
+     * The parser recurses per level, so deeper input fails the parse
+     * instead of overflowing the stack.
+     */
+    static constexpr unsigned kMaxDepth = 64;
+
+    /**
      * Parse a complete JSON document. Returns std::nullopt on malformed
-     * input and, when @p error is non-null, stores a diagnostic.
+     * input or nesting past kMaxDepth and, when @p error is non-null,
+     * stores a diagnostic.
      */
     static std::optional<Json> parse(const std::string &text,
                                      std::string *error = nullptr);

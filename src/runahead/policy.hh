@@ -5,10 +5,11 @@
  * start an episode and how far an episode may run; the engine owns
  * everything else (checkpointing, the runahead cache, exit restore).
  *
- * Adding a variant is: add an RaVariant enumerator (runahead/variant.hh),
- * implement the three hooks here, and extend makeRunaheadPolicy — the
- * engine, the core, the CLI and the sweep grid pick it up unchanged
- * (see DESIGN.md, "RunaheadEngine extraction & variant interface").
+ * Adding a variant is: add an RaVariant enumerator and its kRaVariants
+ * row (runahead/variant.hh), implement the three hooks here, and extend
+ * makeRunaheadPolicy — the engine, the core, the CLI and the sweep grid
+ * pick it up unchanged (see DESIGN.md, "RunaheadEngine extraction &
+ * variant interface").
  */
 
 #ifndef RAT_RUNAHEAD_POLICY_HH

@@ -14,7 +14,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+
+#include "common/names.hh"
 
 namespace rat::runahead {
 
@@ -38,41 +39,29 @@ enum class RaVariant : std::uint8_t {
     UselessFilter,
 };
 
+/**
+ * Every variant, in declaration order, as `--ra-variant`, reports and
+ * cache keys spell it.
+ */
+inline constexpr NameRow<RaVariant> kRaVariants[] = {
+    {RaVariant::Classic, "classic"},
+    {RaVariant::Capped, "capped"},
+    {RaVariant::UselessFilter, "useless-filter", "uselessfilter"},
+};
+static_assert(coversInOrder(kRaVariants, RaVariant::UselessFilter));
+
 /** Canonical CLI/JSON spelling of a variant. */
 inline const char *
 raVariantName(RaVariant variant)
 {
-    switch (variant) {
-      case RaVariant::Classic:
-        return "classic";
-      case RaVariant::Capped:
-        return "capped";
-      case RaVariant::UselessFilter:
-        return "useless-filter";
-    }
-    return "?";
+    return nameOf(kRaVariants, variant);
 }
 
 /** Parse a variant name as accepted by `--ra-variant`. */
 inline std::optional<RaVariant>
 parseRaVariant(const std::string &name)
 {
-    if (name == "classic")
-        return RaVariant::Classic;
-    if (name == "capped")
-        return RaVariant::Capped;
-    if (name == "useless-filter" || name == "uselessfilter")
-        return RaVariant::UselessFilter;
-    return std::nullopt;
-}
-
-/** Canonical names of every variant, in declaration order. */
-inline std::vector<std::string>
-raVariantNames()
-{
-    return {raVariantName(RaVariant::Classic),
-            raVariantName(RaVariant::Capped),
-            raVariantName(RaVariant::UselessFilter)};
+    return parseName(kRaVariants, name);
 }
 
 } // namespace rat::runahead

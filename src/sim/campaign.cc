@@ -97,6 +97,7 @@ expandCampaign(const CampaignSpec &spec)
                                 cfg.core.robEntries = rob;
                                 cfg.measureCycles = measure;
                                 cfg.seed = seed;
+                                checkRunLength(cfg);
                                 if (cfg.sampled) {
                                     // One cell per representative
                                     // window (innermost implicit
@@ -292,7 +293,7 @@ baselineSpec(const CampaignSpec &spec)
 {
     CampaignSpec st = spec;
     st.base.traceOut.clear();
-    st.techniques = {icountSpec()};
+    st.techniques = {techniqueOf(core::PolicyKind::Icount)};
     st.groups.clear();
     st.workloads.clear();
     std::set<std::string> seen;

@@ -5,42 +5,14 @@
 #include <mutex>
 #include <thread>
 
+#include "policy/factory.hh"
+
 namespace rat::sim {
 
 TechniqueSpec
-icountSpec()
+techniqueOf(core::PolicyKind kind)
 {
-    return {"ICOUNT", core::PolicyKind::Icount, {}};
-}
-
-TechniqueSpec
-stallSpec()
-{
-    return {"STALL", core::PolicyKind::Stall, {}};
-}
-
-TechniqueSpec
-flushSpec()
-{
-    return {"FLUSH", core::PolicyKind::Flush, {}};
-}
-
-TechniqueSpec
-dcraSpec()
-{
-    return {"DCRA", core::PolicyKind::Dcra, {}};
-}
-
-TechniqueSpec
-hillClimbingSpec()
-{
-    return {"HillClimbing", core::PolicyKind::HillClimbing, {}};
-}
-
-TechniqueSpec
-ratSpec()
-{
-    return {"RaT", core::PolicyKind::Rat, {}};
+    return {policy::policyKindName(kind), kind, {}};
 }
 
 void

@@ -27,13 +27,11 @@ struct TechniqueSpec {
     core::RatConfig rat{};
 };
 
-/** The standard technique lineups used by the paper's figures. */
-TechniqueSpec icountSpec();
-TechniqueSpec stallSpec();
-TechniqueSpec flushSpec();
-TechniqueSpec dcraSpec();
-TechniqueSpec hillClimbingSpec();
-TechniqueSpec ratSpec();
+/**
+ * The technique that runs @p kind with the default RaT config,
+ * labelled with the kind's canonical name (policy::policyKindName).
+ */
+TechniqueSpec techniqueOf(core::PolicyKind kind);
 
 /**
  * Apply @p tech to a copy of @p base: its policy, its whole RaT

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #ifdef __GLIBC__
 #include <malloc.h>
@@ -112,10 +113,30 @@ makeStreams(std::uint64_t seed, const std::vector<std::string> &programs)
     return gens;
 }
 
+void
+checkRunLength(const SimConfig &config)
+{
+    const std::pair<const char *, std::uint64_t> phases[] = {
+        {"prewarmInsts", config.prewarmInsts},
+        {"warmupCycles", config.warmupCycles},
+        {"measureCycles", config.measureCycles},
+    };
+    std::uint64_t total = 0;
+    for (const auto &[field, length] : phases) {
+        if (length > kMaxRunCycles - total)
+            fatal("%s: %llu takes prewarm + warmup + measure past the "
+                  "limit of %llu cycles",
+                  field, static_cast<unsigned long long>(length),
+                  static_cast<unsigned long long>(kMaxRunCycles));
+        total += length;
+    }
+}
+
 Simulator::Simulator(SimConfig config, std::vector<std::string> programs)
     : config_(std::move(config)), programs_(std::move(programs))
 {
     retainFreedHeap();
+    checkRunLength(config_);
     if (programs_.empty())
         fatal("simulator needs at least one program");
     config_.core.numThreads = static_cast<unsigned>(programs_.size());

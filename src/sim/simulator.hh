@@ -239,6 +239,19 @@ unsigned usableCpus();
 unsigned prewarmWalkWorkers();
 
 /**
+ * The most cycles prewarm (a cycle per instruction), warmup and
+ * measure may span together: far below 2^64, since events are
+ * scheduled hundreds of cycles past the clock.
+ */
+inline constexpr Cycle kMaxRunCycles = Cycle{1} << 62;
+
+/**
+ * fatal(), naming the field, when @p config's run passes kMaxRunCycles.
+ * Simulator checks its config, and expandCampaign every cell's.
+ */
+void checkRunLength(const SimConfig &config);
+
+/**
  * One simulation instance: owns every component. Instances are fully
  * independent, so parameter sweeps may run many in parallel threads.
  */

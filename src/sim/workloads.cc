@@ -1,7 +1,6 @@
 #include "sim/workloads.hh"
 
-#include <algorithm>
-#include <map>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -41,102 +40,105 @@ make(std::initializer_list<const char *> programs)
     return Workload::fromPrograms(std::move(names));
 }
 
-// Table 2, verbatim.
-const std::vector<Workload> kIlp2 = {
-    make({"apsi", "eon"}),      make({"apsi", "gcc"}),
-    make({"bzip2", "vortex"}),  make({"fma3d", "gcc"}),
-    make({"fma3d", "mesa"}),    make({"gcc", "mgrid"}),
-    make({"gzip", "bzip2"}),    make({"gzip", "vortex"}),
-    make({"mgrid", "galgel"}),  make({"wupwise", "gcc"}),
+/** One Table 2 column: its group, its name and its workloads. */
+struct GroupRow {
+    WorkloadGroup group;
+    const char *name;
+    std::vector<Workload> workloads;
 };
 
-const std::vector<Workload> kMix2 = {
-    make({"applu", "vortex"}),  make({"art", "gzip"}),
-    make({"bzip2", "mcf"}),     make({"equake", "bzip2"}),
-    make({"galgel", "equake"}), make({"lucas", "crafty"}),
-    make({"mcf", "eon"}),       make({"swim", "mgrid"}),
-    make({"twolf", "apsi"}),    make({"wupwise", "twolf"}),
+// Table 2, verbatim, in WorkloadGroup order.
+const GroupRow kGroups[] = {
+    {WorkloadGroup::ILP2, "ILP2", {
+        make({"apsi", "eon"}),      make({"apsi", "gcc"}),
+        make({"bzip2", "vortex"}),  make({"fma3d", "gcc"}),
+        make({"fma3d", "mesa"}),    make({"gcc", "mgrid"}),
+        make({"gzip", "bzip2"}),    make({"gzip", "vortex"}),
+        make({"mgrid", "galgel"}),  make({"wupwise", "gcc"}),
+    }},
+    {WorkloadGroup::MIX2, "MIX2", {
+        make({"applu", "vortex"}),  make({"art", "gzip"}),
+        make({"bzip2", "mcf"}),     make({"equake", "bzip2"}),
+        make({"galgel", "equake"}), make({"lucas", "crafty"}),
+        make({"mcf", "eon"}),       make({"swim", "mgrid"}),
+        make({"twolf", "apsi"}),    make({"wupwise", "twolf"}),
+    }},
+    {WorkloadGroup::MEM2, "MEM2", {
+        make({"applu", "art"}),   make({"art", "mcf"}),
+        make({"art", "twolf"}),   make({"art", "vpr"}),
+        make({"equake", "swim"}), make({"mcf", "twolf"}),
+        make({"parser", "mcf"}),  make({"swim", "mcf"}),
+        make({"swim", "vpr"}),    make({"twolf", "swim"}),
+    }},
+    {WorkloadGroup::ILP4, "ILP4", {
+        make({"apsi", "eon", "fma3d", "gcc"}),
+        make({"apsi", "eon", "gzip", "vortex"}),
+        make({"apsi", "gap", "wupwise", "perl"}),
+        make({"crafty", "fma3d", "apsi", "vortex"}),
+        make({"fma3d", "gcc", "gzip", "vortex"}),
+        make({"gzip", "bzip2", "eon", "gcc"}),
+        make({"mesa", "gzip", "fma3d", "bzip2"}),
+        make({"wupwise", "gcc", "mgrid", "galgel"}),
+    }},
+    {WorkloadGroup::MIX4, "MIX4", {
+        make({"ammp", "applu", "apsi", "eon"}),
+        make({"art", "gap", "twolf", "crafty"}),
+        make({"art", "mcf", "fma3d", "gcc"}),
+        make({"gzip", "twolf", "bzip2", "mcf"}),
+        make({"lucas", "crafty", "equake", "bzip2"}),
+        make({"mcf", "mesa", "lucas", "gzip"}),
+        make({"swim", "fma3d", "vpr", "bzip2"}),
+        make({"swim", "twolf", "gzip", "vortex"}),
+    }},
+    {WorkloadGroup::MEM4, "MEM4", {
+        make({"art", "mcf", "swim", "twolf"}),
+        make({"art", "mcf", "vpr", "swim"}),
+        make({"art", "twolf", "equake", "mcf"}),
+        make({"equake", "parser", "mcf", "lucas"}),
+        make({"equake", "vpr", "applu", "twolf"}),
+        make({"mcf", "twolf", "vpr", "parser"}),
+        make({"parser", "applu", "swim", "twolf"}),
+        make({"swim", "applu", "art", "mcf"}),
+    }},
 };
+static_assert(std::size(kGroups) ==
+              static_cast<std::size_t>(WorkloadGroup::MEM4) + 1);
 
-const std::vector<Workload> kMem2 = {
-    make({"applu", "art"}),   make({"art", "mcf"}),
-    make({"art", "twolf"}),   make({"art", "vpr"}),
-    make({"equake", "swim"}), make({"mcf", "twolf"}),
-    make({"parser", "mcf"}),  make({"swim", "mcf"}),
-    make({"swim", "vpr"}),    make({"twolf", "swim"}),
-};
-
-const std::vector<Workload> kIlp4 = {
-    make({"apsi", "eon", "fma3d", "gcc"}),
-    make({"apsi", "eon", "gzip", "vortex"}),
-    make({"apsi", "gap", "wupwise", "perl"}),
-    make({"crafty", "fma3d", "apsi", "vortex"}),
-    make({"fma3d", "gcc", "gzip", "vortex"}),
-    make({"gzip", "bzip2", "eon", "gcc"}),
-    make({"mesa", "gzip", "fma3d", "bzip2"}),
-    make({"wupwise", "gcc", "mgrid", "galgel"}),
-};
-
-const std::vector<Workload> kMix4 = {
-    make({"ammp", "applu", "apsi", "eon"}),
-    make({"art", "gap", "twolf", "crafty"}),
-    make({"art", "mcf", "fma3d", "gcc"}),
-    make({"gzip", "twolf", "bzip2", "mcf"}),
-    make({"lucas", "crafty", "equake", "bzip2"}),
-    make({"mcf", "mesa", "lucas", "gzip"}),
-    make({"swim", "fma3d", "vpr", "bzip2"}),
-    make({"swim", "twolf", "gzip", "vortex"}),
-};
-
-const std::vector<Workload> kMem4 = {
-    make({"art", "mcf", "swim", "twolf"}),
-    make({"art", "mcf", "vpr", "swim"}),
-    make({"art", "twolf", "equake", "mcf"}),
-    make({"equake", "parser", "mcf", "lucas"}),
-    make({"equake", "vpr", "applu", "twolf"}),
-    make({"mcf", "twolf", "vpr", "parser"}),
-    make({"parser", "applu", "swim", "twolf"}),
-    make({"swim", "applu", "art", "mcf"}),
-};
+const GroupRow &
+rowOf(WorkloadGroup group)
+{
+    const auto i = static_cast<std::size_t>(group);
+    RAT_ASSERT(i < std::size(kGroups) && kGroups[i].group == group,
+               "bad workload group");
+    return kGroups[i];
+}
 
 } // namespace
 
 const std::vector<WorkloadGroup> &
 allGroups()
 {
-    static const std::vector<WorkloadGroup> groups = {
-        WorkloadGroup::ILP2, WorkloadGroup::MIX2, WorkloadGroup::MEM2,
-        WorkloadGroup::ILP4, WorkloadGroup::MIX4, WorkloadGroup::MEM4,
-    };
+    static const std::vector<WorkloadGroup> groups = [] {
+        std::vector<WorkloadGroup> all;
+        for (const GroupRow &row : kGroups)
+            all.push_back(row.group);
+        return all;
+    }();
     return groups;
 }
 
 const char *
 groupName(WorkloadGroup group)
 {
-    switch (group) {
-      case WorkloadGroup::ILP2:
-        return "ILP2";
-      case WorkloadGroup::MIX2:
-        return "MIX2";
-      case WorkloadGroup::MEM2:
-        return "MEM2";
-      case WorkloadGroup::ILP4:
-        return "ILP4";
-      case WorkloadGroup::MIX4:
-        return "MIX4";
-      case WorkloadGroup::MEM4:
-        return "MEM4";
-    }
-    return "?";
+    return rowOf(group).name;
 }
 
 std::optional<WorkloadGroup>
 parseGroup(const std::string &name)
 {
-    for (const WorkloadGroup g : allGroups()) {
-        if (name == groupName(g))
-            return g;
+    for (const GroupRow &row : kGroups) {
+        if (name == row.name)
+            return row.group;
     }
     return std::nullopt;
 }
@@ -144,34 +146,14 @@ parseGroup(const std::string &name)
 unsigned
 groupThreads(WorkloadGroup group)
 {
-    switch (group) {
-      case WorkloadGroup::ILP2:
-      case WorkloadGroup::MIX2:
-      case WorkloadGroup::MEM2:
-        return 2;
-      default:
-        return 4;
-    }
+    return static_cast<unsigned>(
+        rowOf(group).workloads.front().programs.size());
 }
 
 const std::vector<Workload> &
 workloadsOf(WorkloadGroup group)
 {
-    switch (group) {
-      case WorkloadGroup::ILP2:
-        return kIlp2;
-      case WorkloadGroup::MIX2:
-        return kMix2;
-      case WorkloadGroup::MEM2:
-        return kMem2;
-      case WorkloadGroup::ILP4:
-        return kIlp4;
-      case WorkloadGroup::MIX4:
-        return kMix4;
-      case WorkloadGroup::MEM4:
-        return kMem4;
-    }
-    panic("bad workload group");
+    return rowOf(group).workloads;
 }
 
 const std::vector<std::string> &

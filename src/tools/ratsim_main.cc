@@ -241,16 +241,11 @@ const Flag kFlags[] = {
     {"--check-level", "LEVEL", kOneRun,
      "invariant audits: off (default) sampled full",
      [](Cli &c) {
-         using core::CheckLevel;
-         for (const CheckLevel level :
-              {CheckLevel::Off, CheckLevel::Sampled, CheckLevel::Full}) {
-             if (c.value == std::string(core::checkLevelName(level))) {
-                 c.cfg().core.checkLevel = level;
-                 return;
-             }
-         }
-         fatal("%s: unknown level '%s' (off, sampled, full)", c.flag,
-               c.value);
+         const auto level = parseName(core::kCheckLevels, c.value);
+         if (!level)
+             fatal("%s: unknown level '%s' (off, sampled, full)", c.flag,
+                   c.value);
+         c.cfg().core.checkLevel = *level;
      }},
     {"--check-interval", "N", kOneRun,
      "cycles between sampled audits (default 64)",

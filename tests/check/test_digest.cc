@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/digest.hh"
 #include "report/serialize.hh"
 #include "sim/simulator.hh"
 
@@ -68,6 +69,26 @@ TEST(DigestCheck, BoundariesAreWindowExactAndReproducible)
 
     const obs::DigestTrack second = runTrack(cfg);
     EXPECT_TRUE(first == second);
+}
+
+TEST(DigestCheck, WindowsPastTheClockRecordNothing)
+{
+    // A window longer than the measured window ends after it. The
+    // window end was computed as start + window, which wrapped: a
+    // 2^64-1 window recorded one sample per measured cycle.
+    sim::SimConfig cfg = digestConfig(true);
+    cfg.measureCycles = 5000;
+    cfg.digestWindow = kNoCycle;
+    cfg.sampleWindow = kNoCycle;
+    const sim::SimResult r = sim::Simulator(cfg, {"art", "gzip"}).run();
+    EXPECT_TRUE(r.digest.enabled());
+    EXPECT_TRUE(r.digest.samples.empty());
+    EXPECT_TRUE(r.telemetry.enabled);
+    EXPECT_TRUE(r.telemetry.samples.empty());
+
+    DigestCollector collector(kNoCycle - 5);
+    collector.reset(100);
+    EXPECT_EQ(collector.nextAt(), kNoCycle);
 }
 
 TEST(DigestCheck, ResultAndConfigRoundTripThroughJson)

@@ -72,7 +72,7 @@ TEST_P(SharingUnderPolicy, AllThreadsEventuallyProgress)
     for (ThreadId t = 0; t < 4; ++t) {
         EXPECT_GT(h.core->threadStats(t).committedInsts, 50u)
             << "thread " << int(t) << " starved under "
-            << policyName(GetParam());
+            << policy::policyKindName(GetParam());
     }
 }
 
@@ -83,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyKind::Dcra, PolicyKind::HillClimbing,
                       PolicyKind::Rat, PolicyKind::RatDcra),
     [](const auto &param_info) {
-        std::string name = policyName(param_info.param);
+        std::string name = policy::policyKindName(param_info.param);
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';

@@ -448,6 +448,40 @@ TEST(CliSmoke, OversizedStructuresAreRefused)
     }
 }
 
+TEST(CliSmoke, RunsPastTheClockLimitAreRefused)
+{
+    // prewarm + warmup + measure past 2^62 cycles used to wrap the
+    // 64-bit clock: --measure 2^64-1 simulated zero cycles and printed
+    // IPC 0.000 with exit 0, and --warmup 2^64-1 ran as --warmup 0.
+    const std::string max = " 18446744073709551615";
+    const std::string json = "clock-limit.json";
+    const std::string csv = "clock-limit.csv";
+    const std::string out = " --json " + json + " --csv " + csv;
+    const struct {
+        std::string args;
+        const char *fatal;
+    } cases[] = {
+        {"run --workload art,mcf --measure" + max,
+         "fatal: measureCycles: 18446744073709551615 "},
+        {"report --workload art,mcf --warmup" + max + out,
+         "fatal: warmupCycles: 18446744073709551615 "},
+        {"sweep --workloads art,mcf --measure 2000," + max.substr(1) + out,
+         "fatal: measureCycles: 18446744073709551615 "},
+    };
+    for (const auto &c : cases) {
+        const CliResult r = runCli(c.args);
+        EXPECT_EQ(r.exitCode, 1) << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find(c.fatal), std::string::npos)
+            << c.args << "\n" << r.output;
+        EXPECT_NE(r.output.find("past the limit of 4611686018427387904 "
+                                "cycles"),
+                  std::string::npos)
+            << c.args << "\n" << r.output;
+        EXPECT_FALSE(std::ifstream(json).good()) << c.args;
+        EXPECT_FALSE(std::ifstream(csv).good()) << c.args;
+    }
+}
+
 TEST(CliSmoke, SubcommandHelpListsItsFlags)
 {
     for (const char *sub : {"run", "report", "verify", "sweep", "farm"}) {

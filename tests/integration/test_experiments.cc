@@ -7,6 +7,8 @@
 namespace rat::sim {
 namespace {
 
+using core::PolicyKind;
+
 SimConfig
 mediumConfig()
 {
@@ -42,7 +44,8 @@ TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 {
     const std::vector<double> thr = throughputs(lineupSpec(
         {"art", "mcf"},
-        {icountSpec(), stallSpec(), flushSpec(), ratSpec()}));
+        {techniqueOf(PolicyKind::Icount), techniqueOf(PolicyKind::Stall),
+         techniqueOf(PolicyKind::Flush), techniqueOf(PolicyKind::Rat)}));
     const double icount = thr.at(0);
     const double stall = thr.at(1);
     const double flush = thr.at(2);
@@ -57,7 +60,9 @@ TEST(PaperShape, RatBeatsStaticPoliciesOnMemWorkload)
 TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 {
     const std::vector<double> thr = throughputs(lineupSpec(
-        {"swim", "mcf"}, {dcraSpec(), hillClimbingSpec(), ratSpec()}));
+        {"swim", "mcf"},
+        {techniqueOf(PolicyKind::Dcra), techniqueOf(PolicyKind::HillClimbing),
+         techniqueOf(PolicyKind::Rat)}));
     const double dcra = thr.at(0);
     const double hc = thr.at(1);
     const double rat = thr.at(2);
@@ -70,7 +75,8 @@ TEST(PaperShape, RatBeatsDynamicPoliciesOnMemWorkload)
 TEST(PaperShape, RatFairnessBeatsIcountOnMem)
 {
     const CampaignSpec spec =
-        lineupSpec({"art", "mcf"}, {icountSpec(), ratSpec()});
+        lineupSpec({"art", "mcf"}, {techniqueOf(PolicyKind::Icount),
+                                    techniqueOf(PolicyKind::Rat)});
     const BaselineIpcMap base =
         baselineIpcs(runCampaign(baselineSpec(spec)));
     const CampaignOutcome outcome = runCampaign(spec);
@@ -81,8 +87,9 @@ TEST(PaperShape, RatFairnessBeatsIcountOnMem)
 
 TEST(PaperShape, IlpWorkloadsLargelyUnaffectedByRat)
 {
-    const std::vector<double> thr = throughputs(
-        lineupSpec({"gzip", "bzip2"}, {icountSpec(), ratSpec()}));
+    const std::vector<double> thr = throughputs(lineupSpec(
+        {"gzip", "bzip2"},
+        {techniqueOf(PolicyKind::Icount), techniqueOf(PolicyKind::Rat)}));
     const double icount = thr.at(0);
     const double rat = thr.at(1);
     // Within ~15% on ILP pairs (paper: moderate effect on ILP).
@@ -92,7 +99,8 @@ TEST(PaperShape, IlpWorkloadsLargelyUnaffectedByRat)
 TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 {
     const SimResult r =
-        Simulator(configFor(mediumConfig(), ratSpec(), 2), {"art", "swim"})
+        Simulator(configFor(mediumConfig(), techniqueOf(PolicyKind::Rat), 2),
+                  {"art", "swim"})
             .run();
     for (const ThreadResult &t : r.threads) {
         if (t.core.runaheadCycles > 3000) {
@@ -106,7 +114,8 @@ TEST(PaperShape, RatRegisterPressureDropsInRunahead)
 TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 {
     CampaignSpec spec =
-        lineupSpec({"art", "mcf"}, {flushSpec(), ratSpec()});
+        lineupSpec({"art", "mcf"}, {techniqueOf(PolicyKind::Flush),
+                                    techniqueOf(PolicyKind::Rat)});
     spec.regsAxis = {64, 320};
     const std::vector<double> thr = throughputs(spec);
     const double flush_small = thr.at(0);
@@ -124,12 +133,12 @@ TEST(PaperShape, SmallRegisterFileHurtsFlushMoreThanRat)
 
 TEST(PaperShape, PrefetchAblationLosesMostOfTheGain)
 {
-    TechniqueSpec no_pf = ratSpec();
+    TechniqueSpec no_pf = techniqueOf(PolicyKind::Rat);
     no_pf.label = "RaT-noPF";
     no_pf.rat.disablePrefetch = true;
 
-    const std::vector<double> thr =
-        throughputs(lineupSpec({"swim", "art"}, {ratSpec(), no_pf}));
+    const std::vector<double> thr = throughputs(
+        lineupSpec({"swim", "art"}, {techniqueOf(PolicyKind::Rat), no_pf}));
     const double rat = thr.at(0);
     const double nopf = thr.at(1);
     EXPECT_GT(rat, nopf); // Fig. 4: prefetching dominates the benefit

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "policy/factory.hh"
 #include "sim/campaign.hh"
 #include "sim/simulator.hh"
 
 namespace rat::sim {
 namespace {
+
+using core::PolicyKind;
 
 /**
  * Every (technique x workload class) combination must run to completion
@@ -21,22 +24,6 @@ class PolicyWorkloadMatrix
           std::tuple<std::string, std::string>>
 {
   protected:
-    static TechniqueSpec
-    techniqueByName(const std::string &name)
-    {
-        if (name == "ICOUNT")
-            return icountSpec();
-        if (name == "STALL")
-            return stallSpec();
-        if (name == "FLUSH")
-            return flushSpec();
-        if (name == "DCRA")
-            return dcraSpec();
-        if (name == "HillClimbing")
-            return hillClimbingSpec();
-        return ratSpec();
-    }
-
     static Workload
     workloadByName(const std::string &name)
     {
@@ -58,8 +45,10 @@ TEST_P(PolicyWorkloadMatrix, RunsCleanWithSaneNumbers)
     cfg.measureCycles = 8000;
 
     const Workload w = workloadByName(wl_name);
+    const TechniqueSpec tech =
+        techniqueOf(*policy::parsePolicyKind(tech_name));
     const SimResult r =
-        Simulator(configFor(cfg, techniqueByName(tech_name),
+        Simulator(configFor(cfg, tech,
                             static_cast<unsigned>(w.programs.size())),
                   w.programs)
             .run();
@@ -96,8 +85,10 @@ TEST(Invariants, RunaheadOnlyUnderRat)
     cfg.measureCycles = 8000;
     CampaignSpec spec;
     spec.base = cfg;
-    spec.techniques = {icountSpec(), stallSpec(),        flushSpec(),
-                       dcraSpec(),   hillClimbingSpec(), ratSpec()};
+    for (const PolicyKind kind :
+         {PolicyKind::Icount, PolicyKind::Stall, PolicyKind::Flush,
+          PolicyKind::Dcra, PolicyKind::HillClimbing, PolicyKind::Rat})
+        spec.techniques.push_back(techniqueOf(kind));
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     const CampaignOutcome outcome = runCampaign(spec);
     ASSERT_EQ(outcome.cells.size(), spec.techniques.size());
@@ -125,13 +116,15 @@ TEST(Invariants, OnlyFlushAndRatReexecute)
 
     // STALL never squashes; executed ~ committed (+ in-flight slack).
     const SimResult stall =
-        Simulator(configFor(cfg, stallSpec(), 2), programs).run();
+        Simulator(configFor(cfg, techniqueOf(PolicyKind::Stall), 2), programs)
+            .run();
     for (const ThreadResult &t : stall.threads)
         EXPECT_EQ(t.core.squashedInsts, 0u) << t.program;
 
     // FLUSH squashes the memory thread.
     const SimResult flush =
-        Simulator(configFor(cfg, flushSpec(), 2), programs).run();
+        Simulator(configFor(cfg, techniqueOf(PolicyKind::Flush), 2), programs)
+            .run();
     EXPECT_GT(flush.threads[0].core.squashedInsts, 0u);
 }
 

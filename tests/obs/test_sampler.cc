@@ -74,6 +74,24 @@ TEST(WindowSampler, ZeroWindowStaysDisarmed)
     EXPECT_EQ(s.nextAt(), kNoCycle);
 }
 
+TEST(WindowSampler, WindowEndsSaturateInsteadOfWrapping)
+{
+    // start + window used to wrap: a 2^64-1 window ended one cycle
+    // before its start, so every tick sampled and the window-end
+    // cycles ran backwards. A window past the clock's range never ends.
+    WindowSampler forever(kNoCycle);
+    forever.reset(10100);
+    EXPECT_EQ(forever.nextAt(), kNoCycle);
+
+    const Cycle half = Cycle{1} << 63;
+    WindowSampler s(half);
+    s.reset(100);
+    EXPECT_EQ(s.nextAt(), half + 100);
+    s.sampleAt(1, 1, 0, 0, 0, 0);
+    EXPECT_EQ(s.nextAt(), kNoCycle);
+    EXPECT_EQ(s.result().samples.at(0).cycle, half + 100);
+}
+
 TEST(WindowSampler, ResetDropsPriorState)
 {
     WindowSampler s(10);

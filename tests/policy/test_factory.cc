@@ -7,6 +7,10 @@
  * rejected rather than mapped to a default.
  */
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "policy/factory.hh"
@@ -47,6 +51,10 @@ TEST(PolicyFactory, EveryDocumentedNameParsesToItsKind)
         ASSERT_TRUE(kind.has_value()) << c.cliName;
         EXPECT_EQ(*kind, c.kind) << c.cliName;
     }
+    // An alias prints as its canonical name.
+    EXPECT_STREQ(policyKindName(*parsePolicyKind("HC")), "HillClimbing");
+    EXPECT_STREQ(policyKindName(*parsePolicyKind("RAT")), "RaT");
+    EXPECT_STREQ(policyKindName(*parsePolicyKind("RATDCRA")), "RaT+DCRA");
 }
 
 TEST(PolicyFactory, EveryDocumentedNameConstructsTheRightPolicy)
@@ -60,14 +68,30 @@ TEST(PolicyFactory, EveryDocumentedNameConstructsTheRightPolicy)
 
 TEST(PolicyFactory, CanonicalNameRoundTripsThroughParse)
 {
-    for (const PolicyKind kind :
-         {PolicyKind::RoundRobin, PolicyKind::Icount, PolicyKind::Stall,
-          PolicyKind::Flush, PolicyKind::Dcra, PolicyKind::HillClimbing,
-          PolicyKind::Rat, PolicyKind::RatDcra, PolicyKind::MlpAware}) {
-        const std::string name = policyKindName(kind);
+    for (const NameCase &c : kDocumentedNames) {
+        const std::string name = policyKindName(c.kind);
         const auto parsed = parsePolicyKind(name);
         ASSERT_TRUE(parsed.has_value()) << name;
-        EXPECT_EQ(*parsed, kind) << name;
+        EXPECT_EQ(*parsed, c.kind) << name;
+    }
+}
+
+TEST(PolicyFactory, NamesFollowDeclarationOrder)
+{
+    // One name per PolicyKind, in declaration order: ratbench builds
+    // its sweep-mix2 lineup from policyKindNames() in this order.
+    constexpr const char *kOrder[] = {
+        "RR",           "ICOUNT", "STALL",    "FLUSH", "DCRA",
+        "HillClimbing", "RaT",    "RaT+DCRA", "MLP",
+    };
+    static_assert(std::size(kOrder) ==
+                  static_cast<std::size_t>(PolicyKind::MlpAware) + 1);
+    EXPECT_EQ(policyKindNames(),
+              std::vector<std::string>(std::begin(kOrder), std::end(kOrder)));
+    for (std::size_t i = 0; i < std::size(kOrder); ++i) {
+        const auto kind = static_cast<PolicyKind>(i);
+        EXPECT_STREQ(policyKindName(kind), kOrder[i]);
+        EXPECT_EQ(parsePolicyKind(kOrder[i]), kind) << kOrder[i];
     }
 }
 

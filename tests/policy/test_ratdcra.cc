@@ -50,8 +50,7 @@ TEST(RatDcra, BeatsPlainDcraOnMemWorkload)
 
 TEST(RatDcra, PolicyNameRoundTrips)
 {
-    EXPECT_STREQ(core::policyName(core::PolicyKind::RatDcra),
-                 "RaT+DCRA");
+    EXPECT_STREQ(policyKindName(core::PolicyKind::RatDcra), "RaT+DCRA");
     EXPECT_TRUE(core::runaheadEnabled(core::PolicyKind::RatDcra));
     EXPECT_TRUE(core::runaheadEnabled(core::PolicyKind::Rat));
     EXPECT_FALSE(core::runaheadEnabled(core::PolicyKind::Dcra));

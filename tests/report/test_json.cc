@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -130,6 +131,45 @@ TEST(Json, ParseRejectsMalformedInput)
     EXPECT_FALSE(Json::parse("1 2", &error));
     EXPECT_FALSE(Json::parse("\"unterminated", &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(Json, ParseRefusesNestingPastTheDepthLimit)
+{
+    // The parser recurses once per container: 100,000 of them used to
+    // overflow the stack (SIGSEGV) instead of failing the parse.
+    constexpr std::size_t kDeep = 100000;
+    std::string error;
+    EXPECT_FALSE(Json::parse(std::string(kDeep, '['), &error));
+    EXPECT_NE(error.find("nested deeper than 64"), std::string::npos)
+        << error;
+
+    std::string chain;
+    for (std::size_t i = 0; i < kDeep; ++i)
+        chain += "{\"a\":";
+    error.clear();
+    EXPECT_FALSE(Json::parse(chain, &error));
+    EXPECT_NE(error.find("nested deeper than 64"), std::string::npos)
+        << error;
+}
+
+TEST(Json, DocumentAtTheDepthLimitParses)
+{
+    const std::size_t limit = Json::kMaxDepth;
+    const std::string arrays =
+        std::string(limit, '[') + std::string(limit, ']');
+    const auto parsed = Json::parse(arrays);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(parsed->dump(), arrays);
+    // One more level is refused.
+    EXPECT_FALSE(Json::parse("[" + arrays + "]"));
+
+    std::string objects;
+    for (std::size_t i = 0; i + 1 < limit; ++i)
+        objects += "{\"a\":";
+    objects += "{}" + std::string(limit - 1, '}');
+    const auto nested = Json::parse(objects);
+    ASSERT_TRUE(nested);
+    EXPECT_EQ(nested->dump(), objects);
 }
 
 TEST(Json, FindAndTypePredicates)

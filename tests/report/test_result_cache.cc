@@ -101,6 +101,29 @@ TEST(ResultCacheFailure, TruncatedCellFileIsQuarantinedNotACrash)
     EXPECT_EQ(cache.quarantined(), 2u);
 }
 
+TEST(ResultCacheFailure, DeeplyNestedCellIsQuarantinedNotACrash)
+{
+    // 100,000 '[' used to overflow the parser's stack: every later run
+    // over the cache died with SIGSEGV. Now the parse fails, the cell
+    // is moved aside, and the next store heals the slot.
+    TempDir dir("rc_deep");
+    const ResultCache cache(dir.path.string());
+    const std::string key = sampleKey(5);
+    ASSERT_TRUE(cache.store(key, sampleResult("art", 0.5)));
+
+    const fs::path cell = dir.path / ResultCache::fileNameFor(key);
+    std::ofstream(cell, std::ios::trunc) << std::string(100000, '[');
+    EXPECT_FALSE(cache.load(key));
+    EXPECT_EQ(cache.quarantined(), 1u);
+    EXPECT_FALSE(fs::exists(cell));
+    EXPECT_TRUE(fs::exists(cell.string() + ".bad"));
+
+    ASSERT_TRUE(cache.store(key, sampleResult("art", 0.5)));
+    const auto healed = cache.load(key);
+    ASSERT_TRUE(healed);
+    EXPECT_EQ(healed->threads.at(0).ipc, 0.5);
+}
+
 TEST(ResultCacheFailure, KeyCollisionMismatchIsAMiss)
 {
     TempDir dir("rc_collision");

@@ -47,9 +47,7 @@ runCappedMix2Json(bool cycle_skipping)
 {
     const SimConfig base = cappedMix2Config(cycle_skipping);
     const Workload w = Workload::fromPrograms({"art", "gzip"});
-    TechniqueSpec tech;
-    tech.label = "RaT";
-    tech.policy = core::PolicyKind::Rat;
+    TechniqueSpec tech = techniqueOf(core::PolicyKind::Rat);
     tech.rat = base.core.rat;
     const SimResult r =
         Simulator(configFor(base, tech, 2), w.programs).run();

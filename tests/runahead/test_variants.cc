@@ -7,6 +7,8 @@
  * while leaving productive streamers alone.
  */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "runahead/engine.hh"
@@ -28,12 +30,20 @@ variantConfig(RaVariant variant)
 
 TEST(RaVariant, NamesRoundTripThroughParse)
 {
-    for (const std::string &name : raVariantNames()) {
-        const auto parsed = parseRaVariant(name);
-        ASSERT_TRUE(parsed.has_value()) << name;
-        EXPECT_EQ(raVariantName(*parsed), name);
+    static_assert(std::size(kRaVariants) ==
+                  static_cast<std::size_t>(RaVariant::UselessFilter) + 1);
+    for (std::size_t i = 0; i < std::size(kRaVariants); ++i) {
+        const NameRow<RaVariant> &row = kRaVariants[i];
+        EXPECT_EQ(row.value, static_cast<RaVariant>(i)) << row.name;
+        EXPECT_EQ(parseRaVariant(row.name), row.value) << row.name;
+        EXPECT_STREQ(raVariantName(row.value), row.name);
+        if (row.alias) {
+            EXPECT_EQ(parseRaVariant(row.alias), row.value) << row.alias;
+        }
     }
-    EXPECT_FALSE(parseRaVariant("bogus").has_value());
+    EXPECT_EQ(parseRaVariant("uselessfilter"), RaVariant::UselessFilter);
+    for (const char *bad : {"", "bogus", "Classic", "useless_filter"})
+        EXPECT_FALSE(parseRaVariant(bad).has_value()) << '"' << bad << '"';
 }
 
 TEST(RaVariant, DefaultConfigIsClassic)

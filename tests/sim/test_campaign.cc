@@ -22,6 +22,8 @@
 namespace rat::sim {
 namespace {
 
+using core::PolicyKind;
+
 /** Tiny windows: the grid runs in well under a second per cell. */
 SimConfig
 tinyConfig()
@@ -38,7 +40,8 @@ smallSpec(const std::string &cache_dir)
 {
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.seedAxis = {1, 2};
     spec.cacheDir = cache_dir;
@@ -67,7 +70,8 @@ TEST(Campaign, ExpandsFullCrossProductInDeterministicOrder)
 {
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
                       Workload::fromPrograms({"swim", "mcf"})};
     spec.regsAxis = {128, 320};
@@ -105,7 +109,7 @@ TEST(Campaign, RaVariantAxisExpandsWithDistinctKeys)
 {
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.raVariantAxis = {runahead::RaVariant::Classic,
                           runahead::RaVariant::Capped,
@@ -133,7 +137,8 @@ TEST(Campaign, RaVariantAxisCollapsesForNonRunaheadTechniques)
     // distinct cache keys).
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.raVariantAxis = {runahead::RaVariant::Classic,
                           runahead::RaVariant::Capped,
@@ -152,7 +157,7 @@ TEST(Campaign, RaVariantCellsRoundTripThroughCacheBitIdentical)
     TempCacheDir dir("ravariant-cache");
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.raVariantAxis = {runahead::RaVariant::Classic,
                           runahead::RaVariant::Capped,
@@ -176,7 +181,7 @@ TEST(Campaign, EmptyAxesCollapseToBaseValues)
 {
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     const auto cells = expandCampaign(spec);
     ASSERT_EQ(cells.size(), 1u);
@@ -188,7 +193,7 @@ TEST(Campaign, EmptyAxesCollapseToBaseValues)
     // An unset axis keeps the value of configFor's config: the
     // technique's runahead variant, and the base's register split.
     spec.base.core.fpRegs = spec.base.core.intRegs / 2;
-    TechniqueSpec capped = ratSpec();
+    TechniqueSpec capped = techniqueOf(PolicyKind::Rat);
     capped.rat.variant = runahead::RaVariant::Capped;
     spec.techniques = {capped};
     const auto capped_cells = expandCampaign(spec);
@@ -257,7 +262,7 @@ TEST(Campaign, DuplicateCellsSimulateOnce)
 {
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {icountSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
                       Workload::fromPrograms({"art", "mcf"})};
     const CampaignOutcome outcome = runCampaign(spec);
@@ -273,8 +278,7 @@ allPolicies()
 {
     std::vector<TechniqueSpec> techniques;
     for (const std::string &name : policy::policyKindNames())
-        techniques.push_back(
-            {name, *policy::parsePolicyKind(name), core::RatConfig{}});
+        techniques.push_back(techniqueOf(*policy::parsePolicyKind(name)));
     return techniques;
 }
 
@@ -344,7 +348,9 @@ TEST(Campaign, DistinctRegisterFilesAreDistinctIdentitiesNeverCrossRestored)
     // a regs axis splits the prewarm identity.
     CampaignSpec spec;
     spec.base = tinyConfig();
-    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Flush),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.regsAxis = {128, 320};
     spec.parallelism = 1;
@@ -431,6 +437,21 @@ TEST(Workloads, FromProgramsJoinsCanonicalName)
     ASSERT_EQ(w.programs.size(), 3u);
     EXPECT_EQ(w.programs[2], "swim");
     EXPECT_EQ(Workload::fromPrograms({}).name, "");
+}
+
+TEST(TechniqueOf, LabelIsThePolicyKindName)
+{
+    for (std::size_t i = 0;
+         i <= static_cast<std::size_t>(PolicyKind::MlpAware); ++i) {
+        const auto kind = static_cast<PolicyKind>(i);
+        const TechniqueSpec tech = techniqueOf(kind);
+        EXPECT_EQ(tech.label, policy::policyKindName(kind));
+        EXPECT_EQ(tech.policy, kind);
+        SimConfig cfg;
+        cfg.core.rat = tech.rat; // the default RaT config
+        EXPECT_EQ(report::toJson(cfg).dump(),
+                  report::toJson(SimConfig{}).dump());
+    }
 }
 
 TEST(Workloads, ParseGroupRoundTripsAllGroups)

@@ -68,7 +68,8 @@ chaosSpec(const std::string &cache_dir)
     spec.base.prewarmInsts = 5000;
     spec.base.warmupCycles = 200;
     spec.base.measureCycles = 1000;
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(core::PolicyKind::Icount),
+                       techniqueOf(core::PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.seedAxis = {1, 2, 3, 4, 5, 6};
     spec.cacheDir = cache_dir;

@@ -106,11 +106,9 @@ goldenCases()
 }
 
 TechniqueSpec
-techniqueOf(const GoldenCase &golden)
+goldenTechnique(const GoldenCase &golden)
 {
-    TechniqueSpec tech;
-    tech.label = policy::policyKindName(golden.policy);
-    tech.policy = golden.policy;
+    TechniqueSpec tech = techniqueOf(golden.policy);
     tech.rat.useRunaheadCache = golden.runaheadCache;
     return tech;
 }
@@ -126,7 +124,7 @@ runJson(const GoldenCase &golden)
 {
     return resultJson(
         Simulator(configFor(determinismConfig(golden.digestWindow),
-                            techniqueOf(golden),
+                            goldenTechnique(golden),
                             static_cast<unsigned>(golden.programs.size())),
                   golden.programs)
             .run());
@@ -182,7 +180,7 @@ TEST(Determinism, EveryPolicyMix2ByteIdenticalToGolden)
         if (golden.programs == spec.workloads.front().programs &&
             !golden.digestWindow) {
             mix2.push_back(golden);
-            spec.techniques.push_back(techniqueOf(golden));
+            spec.techniques.push_back(goldenTechnique(golden));
         }
     }
     ASSERT_EQ(mix2.size(), kAllPolicies.size());

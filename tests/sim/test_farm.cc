@@ -29,6 +29,8 @@
 namespace rat::sim {
 namespace {
 
+using core::PolicyKind;
+
 struct TempCacheDir {
     std::filesystem::path path;
 
@@ -56,7 +58,8 @@ smallSpec(const std::string &cache_dir)
     spec.base.prewarmInsts = 5000;
     spec.base.warmupCycles = 200;
     spec.base.measureCycles = 1000;
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     spec.seedAxis = {1, 2, 3};
     spec.cacheDir = cache_dir;
@@ -222,7 +225,7 @@ TEST(Farm, DuplicateCellsSimulateOnceAcrossProcesses)
     CampaignSpec spec = smallSpec("");
     spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
                       Workload::fromPrograms({"art", "mcf"})};
-    spec.techniques = {icountSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount)};
     spec.seedAxis = {1};
     const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
@@ -239,7 +242,9 @@ TEST(Farm, WorkersReuseOnePrewarmWalkPerIdentity)
     // next ones it is handed.
     TempCacheDir cache("farm_prewarm");
     CampaignSpec spec = smallSpec(cache.path.string());
-    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Flush),
+                       techniqueOf(PolicyKind::Rat)};
     const FarmOutcome farm = runFarm(spec, farmOptions(2));
     ASSERT_TRUE(farm.completed) << farm.error;
     EXPECT_EQ(farm.campaign.simulated, 9u);
@@ -262,7 +267,9 @@ TEST(Farm, WalksOncePerCampaignJobLikeTheSweep)
     // identities. The farm's 2 workers get the sweep's jobs, so it
     // walks once per job, plus once per job a worker took over.
     CampaignSpec spec = smallSpec("");
-    spec.techniques = {icountSpec(), flushSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Flush),
+                       techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"}),
                       Workload::fromPrograms({"swim", "twolf"})};
     spec.seedAxis = {1, 2};
@@ -287,7 +294,7 @@ TEST(Farm, FailedStoresAreCountedNotHidden)
     std::ofstream(dir.path / "blocker") << "x";
 
     CampaignSpec spec = smallSpec((dir.path / "blocker" / "c").string());
-    spec.techniques = {icountSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount)};
     spec.seedAxis = {1};
     const FarmOutcome farm = runFarm(spec, farmOptions(1));
     ASSERT_TRUE(farm.completed) << farm.error;

@@ -11,8 +11,8 @@
  * commit, explaining the semantic change.
  *
  * Re-capture: run the art,mcf workload at measureCycles=20000 as
- * Simulator(configFor(cfg, ratSpec()/icountSpec(), 2), programs).run()
- * and print the counters (the CLI equivalent:
+ * Simulator(configFor(cfg, techniqueOf(kind), 2), programs).run() with
+ * kind RaT or ICOUNT, and print the counters (the CLI equivalent:
  * `ratsim --workload art,mcf --policy RaT --measure 20000`).
  */
 
@@ -23,6 +23,8 @@
 
 namespace rat::sim {
 namespace {
+
+using core::PolicyKind;
 
 SimResult
 runArtMcf(const TechniqueSpec &tech)
@@ -37,7 +39,7 @@ runArtMcf(const TechniqueSpec &tech)
 
 TEST(GoldenStats, RatOnArtMcfSeed1)
 {
-    const SimResult r = runArtMcf(ratSpec());
+    const SimResult r = runArtMcf(techniqueOf(PolicyKind::Rat));
     ASSERT_EQ(r.threads.size(), 2u);
     EXPECT_EQ(r.cycles, 20000u);
 
@@ -62,7 +64,7 @@ TEST(GoldenStats, RatOnArtMcfSeed1)
 
 TEST(GoldenStats, IcountOnArtMcfSeed1)
 {
-    const SimResult r = runArtMcf(icountSpec());
+    const SimResult r = runArtMcf(techniqueOf(PolicyKind::Icount));
     ASSERT_EQ(r.threads.size(), 2u);
     EXPECT_EQ(r.cycles, 20000u);
 
@@ -97,7 +99,7 @@ TEST(GoldenStats, RatOnMem4QuadSeed1)
 {
     // 4-thread pin: guards the multi-thread semantics (shared ROB/IQ
     // arbitration across four contexts) the 2-thread pins cannot see.
-    const SimResult r = runMem4(ratSpec());
+    const SimResult r = runMem4(techniqueOf(PolicyKind::Rat));
     ASSERT_EQ(r.threads.size(), 4u);
     EXPECT_EQ(r.cycles, 20000u);
 
@@ -132,7 +134,7 @@ TEST(GoldenStats, RatOnMem4QuadSeed1)
 
 TEST(GoldenStats, IcountOnMem4QuadSeed1)
 {
-    const SimResult r = runMem4(icountSpec());
+    const SimResult r = runMem4(techniqueOf(PolicyKind::Icount));
     ASSERT_EQ(r.threads.size(), 4u);
     EXPECT_EQ(r.cycles, 20000u);
     EXPECT_EQ(r.threads[0].core.committedInsts, 2002u);
@@ -149,8 +151,8 @@ TEST(GoldenStats, RatBeatsIcountOnMemoryBoundPair)
 {
     // The paper's headline claim on this pair, as a coarse invariant on
     // top of the exact pins: runahead must raise throughput.
-    const SimResult rat = runArtMcf(ratSpec());
-    const SimResult icount = runArtMcf(icountSpec());
+    const SimResult rat = runArtMcf(techniqueOf(PolicyKind::Rat));
+    const SimResult icount = runArtMcf(techniqueOf(PolicyKind::Icount));
     EXPECT_GT(rat.throughputEq1(), 1.5 * icount.throughputEq1());
 }
 

@@ -34,7 +34,7 @@ mix2GroupJson()
     spec.base.prewarmInsts = 100000;
     spec.base.warmupCycles = 5000;
     spec.base.measureCycles = 10000;
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(core::PolicyKind::Rat)};
     spec.groups = {WorkloadGroup::MIX2};
     const CampaignOutcome baselines = runCampaign(baselineSpec(spec));
     const GroupMetrics gm =

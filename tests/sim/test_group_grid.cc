@@ -20,6 +20,8 @@
 namespace rat::sim {
 namespace {
 
+using core::PolicyKind;
+
 SimConfig
 quickConfig()
 {
@@ -32,7 +34,7 @@ quickConfig()
 
 TEST(GroupGrid, ConfigForAppliesTechniqueAndThreadCount)
 {
-    const TechniqueSpec rat = ratSpec();
+    const TechniqueSpec rat = techniqueOf(PolicyKind::Rat);
     const SimConfig cfg = configFor(quickConfig(), rat, 4);
     EXPECT_EQ(cfg.core.policy, core::PolicyKind::Rat);
     EXPECT_EQ(cfg.core.numThreads, 4u);
@@ -40,14 +42,15 @@ TEST(GroupGrid, ConfigForAppliesTechniqueAndThreadCount)
     EXPECT_EQ(cfg.warmupCycles, 500u);
     EXPECT_EQ(cfg.measureCycles, 2000u);
 
-    const SimConfig icfg = configFor(quickConfig(), icountSpec(), 2);
+    const SimConfig icfg =
+        configFor(quickConfig(), techniqueOf(PolicyKind::Icount), 2);
     EXPECT_EQ(icfg.core.policy, core::PolicyKind::Icount);
     EXPECT_EQ(icfg.core.numThreads, 2u);
 
     // The technique's RaT config replaces the base's whole.
     SimConfig base = quickConfig();
     base.core.rat.useRunaheadCache = true;
-    TechniqueSpec capped = ratSpec();
+    TechniqueSpec capped = techniqueOf(PolicyKind::Rat);
     capped.rat.variant = runahead::RaVariant::Capped;
     const SimConfig ccfg = configFor(base, capped, 2);
     EXPECT_EQ(ccfg.core.rat.variant, runahead::RaVariant::Capped);
@@ -58,7 +61,7 @@ TEST(GroupGrid, BaselineIpcIsDeterministic)
 {
     CampaignSpec spec;
     spec.base = quickConfig();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat)};
     spec.workloads = {Workload::fromPrograms({"art", "mcf"})};
     const BaselineIpcMap first =
         baselineIpcs(runCampaign(baselineSpec(spec)));
@@ -68,7 +71,9 @@ TEST(GroupGrid, BaselineIpcIsDeterministic)
     // the IPC of a standalone single-thread ICOUNT run.
     EXPECT_EQ(baselineIpcs(runCampaign(baselineSpec(spec))), first);
     EXPECT_EQ(first.at("art"),
-              Simulator(configFor(quickConfig(), icountSpec(), 1), {"art"})
+              Simulator(configFor(quickConfig(),
+                                  techniqueOf(PolicyKind::Icount), 1),
+                        {"art"})
                   .run()
                   .threads.at(0)
                   .ipc);
@@ -79,7 +84,8 @@ TEST(GroupGrid, BaselineSpecCoversEveryProgramOnce)
     CampaignSpec spec;
     spec.base = quickConfig();
     spec.base.traceOut = "never-written.json";
-    spec.techniques = {ratSpec(), dcraSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat),
+                       techniqueOf(PolicyKind::Dcra)};
     spec.groups = {WorkloadGroup::MIX2, WorkloadGroup::MEM2};
     // gap is in no 2-thread group; gzip is in MIX2 already.
     spec.workloads = {Workload::fromPrograms({"gap", "gzip"})};
@@ -95,7 +101,9 @@ TEST(GroupGrid, BaselineSpecCoversEveryProgramOnce)
     EXPECT_EQ(st.techniques[0].policy, core::PolicyKind::Icount);
     EXPECT_TRUE(st.groups.empty());
     const std::string reference =
-        report::toJson(configFor(spec.base, icountSpec(), 1)).dump();
+        report::toJson(
+            configFor(spec.base, techniqueOf(PolicyKind::Icount), 1))
+            .dump();
     std::set<std::string> seen;
     for (const CampaignCell &cell : expandCampaign(st)) {
         ASSERT_EQ(cell.programs.size(), 1u);
@@ -111,7 +119,8 @@ TEST(GroupGrid, GroupMeansAreMeansOfCellMetrics)
 {
     CampaignSpec spec;
     spec.base = quickConfig();
-    spec.techniques = {icountSpec(), ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount),
+                       techniqueOf(PolicyKind::Rat)};
     spec.groups = {WorkloadGroup::ILP2, WorkloadGroup::MEM2};
     spec.parallelism = 2;
     const CampaignOutcome baselines = runCampaign(baselineSpec(spec));
@@ -160,7 +169,7 @@ TEST(GroupGrid, RefusesCellsThatAreNotOneRunPerGroupWorkload)
 {
     CampaignSpec spec;
     spec.base = quickConfig();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Rat)};
     spec.groups = {WorkloadGroup::MIX2};
     spec.seedAxis = {1, 2};
     EXPECT_DEATH(groupMetrics(spec, CampaignOutcome{}), "single-valued");

@@ -38,7 +38,7 @@ TEST(Methodology, ParallelAndSerialGroupRunsAgree)
 {
     CampaignSpec spec;
     spec.base = quick();
-    spec.techniques = {ratSpec()};
+    spec.techniques = {techniqueOf(core::PolicyKind::Rat)};
     spec.groups = {WorkloadGroup::MEM2};
     spec.parallelism = 1;
     const GroupMetrics a = groupMetrics(spec, runCampaign(spec))[0][0];

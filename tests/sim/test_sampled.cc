@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.hh"
+#include "policy/factory.hh"
 #include "report/serialize.hh"
 #include "sim/checkpoint.hh"
 #include "sim/metrics.hh"
@@ -212,7 +213,7 @@ TEST(Sampled, PinnedOperatingPointMeetsErrorBound)
         const double errPct =
             100.0 * std::abs(sampledHmean - fullHmean) / fullHmean;
         EXPECT_LE(errPct, 2.0)
-            << core::policyName(policy) << ": sampled " << sampledHmean
+            << policy::policyKindName(policy) << ": sampled " << sampledHmean
             << " vs full " << fullHmean;
         worst = std::max(worst, errPct);
     }

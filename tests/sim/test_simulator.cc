@@ -8,6 +8,8 @@
 namespace rat::sim {
 namespace {
 
+using core::PolicyKind;
+
 SimConfig
 quickConfig()
 {
@@ -75,9 +77,32 @@ baselineIpc(const std::string &program)
 {
     CampaignSpec spec;
     spec.base = quickConfig();
-    spec.techniques = {icountSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount)};
     spec.workloads = {Workload::fromPrograms({program})};
     return baselineIpcs(runCampaign(baselineSpec(spec))).at(program);
+}
+
+TEST(Simulator, RunLengthStopsShortOfTheClockLimit)
+{
+    // prewarm + warmup + measure used to wrap the 64-bit clock: a
+    // 2^64-1 measured window simulated zero cycles and exited 0.
+    SimConfig cfg;
+    cfg.prewarmInsts = 2;
+    cfg.warmupCycles = 3;
+    cfg.measureCycles = kMaxRunCycles - 5;
+    checkRunLength(cfg); // exactly at the limit
+    ++cfg.measureCycles;
+    EXPECT_EXIT(checkRunLength(cfg), ::testing::ExitedWithCode(1),
+                "measureCycles: .* past the limit of 4611686018427387904");
+
+    cfg = quickConfig();
+    cfg.warmupCycles = kNoCycle;
+    EXPECT_EXIT(Simulator(cfg, {"art", "mcf"}), ::testing::ExitedWithCode(1),
+                "warmupCycles: 18446744073709551615");
+    cfg = quickConfig();
+    cfg.prewarmInsts = kMaxRunCycles + 1;
+    EXPECT_EXIT(checkRunLength(cfg), ::testing::ExitedWithCode(1),
+                "prewarmInsts: ");
 }
 
 TEST(GroupGrid, IlpBaselineBeatsMemBaseline)
@@ -91,10 +116,13 @@ TEST(GroupGrid, RunHonorsTechnique)
 {
     const std::vector<std::string> programs{"art", "mcf"};
     const SimResult icount =
-        Simulator(configFor(quickConfig(), icountSpec(), 2), programs)
+        Simulator(configFor(quickConfig(), techniqueOf(PolicyKind::Icount), 2),
+                  programs)
             .run();
     const SimResult rat =
-        Simulator(configFor(quickConfig(), ratSpec(), 2), programs).run();
+        Simulator(configFor(quickConfig(), techniqueOf(PolicyKind::Rat), 2),
+                  programs)
+            .run();
     EXPECT_GT(rat.totalIpc(), 0.0);
     EXPECT_GT(icount.totalIpc(), 0.0);
     // RaT must beat plain ICOUNT on a MEM workload (the headline).
@@ -105,7 +133,7 @@ TEST(GroupGrid, ParallelGroupRunMatchesShape)
 {
     CampaignSpec spec;
     spec.base = quickConfig();
-    spec.techniques = {icountSpec()};
+    spec.techniques = {techniqueOf(PolicyKind::Icount)};
     spec.groups = {WorkloadGroup::ILP2};
     spec.parallelism = 4;
     const CampaignOutcome baselines = runCampaign(baselineSpec(spec));

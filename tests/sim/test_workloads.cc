@@ -1,5 +1,7 @@
 /** @file Tests for the Table 2 workload definitions. */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "sim/workloads.hh"
@@ -44,9 +46,24 @@ TEST(Workloads, SpecificEntriesFromPaper)
 
 TEST(Workloads, GroupNamesRoundTrip)
 {
-    EXPECT_STREQ(groupName(WorkloadGroup::ILP2), "ILP2");
-    EXPECT_STREQ(groupName(WorkloadGroup::MEM4), "MEM4");
-    EXPECT_EQ(allGroups().size(), 6u);
+    // One row per WorkloadGroup, in declaration (Table 2) order.
+    const struct {
+        const char *name;
+        unsigned threads;
+    } kTable2[] = {{"ILP2", 2}, {"MIX2", 2}, {"MEM2", 2},
+                   {"ILP4", 4}, {"MIX4", 4}, {"MEM4", 4}};
+    static_assert(std::size(kTable2) ==
+                  static_cast<std::size_t>(WorkloadGroup::MEM4) + 1);
+    ASSERT_EQ(allGroups().size(), std::size(kTable2));
+    for (std::size_t i = 0; i < std::size(kTable2); ++i) {
+        const auto group = static_cast<WorkloadGroup>(i);
+        EXPECT_EQ(allGroups()[i], group);
+        EXPECT_STREQ(groupName(group), kTable2[i].name);
+        EXPECT_EQ(parseGroup(kTable2[i].name), group);
+        EXPECT_EQ(groupThreads(group), kTable2[i].threads);
+    }
+    for (const char *bad : {"", "ilp2", "MEM8", "MIX", " MIX2"})
+        EXPECT_FALSE(parseGroup(bad)) << '"' << bad << '"';
 }
 
 } // namespace
